@@ -16,11 +16,12 @@ import csv
 import io
 import json
 import re
+from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
 
-from .errors import EmptyKey, SdsrError, UnknownQuestion
+from .errors import EmptyKey, MalformedFile, SdsrError, UnknownQuestion
 from .guidance import GuidanceCondition
 from .engine import (
     QuestionSelection,
@@ -99,17 +100,30 @@ def lint_questions(questions: Sequence[Question]) -> list[Finding]:
 
 
 def questions_from_json(text: str | bytes) -> list[Question]:
-    data = json.loads(text)
-    return [
-        Question(
+    """Parse a question set or answer key.
+
+    Raises MalformedFile when an entry is not an object, lacks ``id``,
+    ``text`` or ``primary_target``, or repeats an earlier id: a repeated
+    key entry would score one answer twice.
+    """
+    questions: list[Question] = []
+    for n, item in enumerate(json.loads(text)):
+        if not isinstance(item, dict):
+            raise MalformedFile(f"question entry {n} is not an object")
+        missing = [name for name in ("id", "text", "primary_target") if name not in item]
+        if missing:
+            raise MalformedFile(f"question entry {n} lacks {', '.join(missing)}")
+        questions.append(Question(
             id=int(item["id"]),
             text=str(item["text"]),
             primary_target=str(item["primary_target"]),
             secondary_target=(None if item.get("secondary_target") is None
                               else str(item["secondary_target"])),
-        )
-        for item in data
-    ]
+        ))
+    repeated = sorted(qid for qid, count in Counter(q.id for q in questions).items() if count > 1)
+    if repeated:
+        raise MalformedFile(f"duplicate question ids: {repeated}")
+    return questions
 
 
 def questions_to_json(questions: Sequence[Question]) -> str:

@@ -1,20 +1,21 @@
 """Bounded-prefix extraction of summary blocks and token estimation.
 
 The point of the summary block is that a reader never has to load the
-body: this module pulls fixed-size chunks through a minimal JSON
-structure scanner and stops as soon as the first top-level value is
-complete.  The scanner tracks nesting depth and string/escape state
-only; nothing past the summary is validated.  For a file whose summary
-ends at byte offset ``o`` read with block size ``b``, at most ``o + b``
-bytes are ever read.
+body.  This module reads a file in fixed-size blocks and decodes its
+top-level object member by member with ``json.JSONDecoder.raw_decode``,
+stopping as soon as the summary value is complete; nothing past the
+summary is validated.  For a file whose summary ends at byte offset
+``o`` read with block size ``b``, at most ``o + b`` bytes are ever read.
 """
 
 from __future__ import annotations
 
+import codecs
 import json
-import os
+import re
 from dataclasses import dataclass
 from pathlib import Path
+from typing import Iterator
 
 from .errors import IoFailure, MalformedFile, NoSummary, SummaryNotFirst
 from .library import SUMMARY_KEY, Finding, SEVERITY_WARNING, SummaryBlock, \
@@ -25,8 +26,6 @@ DEFAULT_BLOCK_SIZE = 4096
 # The design target for a well-hinted summary block; overruns are
 # reported, never clamped.
 DEFAULT_TOKEN_BUDGET = 200
-
-_WS = frozenset(b" \t\r\n")
 
 
 def estimate_tokens(text: str) -> int:
@@ -90,170 +89,98 @@ def scan_registry(directory: str | Path, extension: str = ".json") -> FileRegist
     return FileRegistry(entries=tuple(entries))
 
 
-class _TopLevelScanner:
-    """Streams bytes of a JSON object and finds top-level value spans.
+_DECODER = json.JSONDecoder()
+_WS = re.compile(r"[ \t\n\r]*")
+# A bare number or literal is complete only once one of these follows it:
+# a block edge can cut "-1.5e3" to "-1.", which decodes as -1.
+_DELIMITERS = frozenset(" \t\n\r,}")
+# A decode error this close to the end of the text may be a token cut
+# by a block edge; the longest such token is "-Infinity".
+_CUT_TOKEN_MAX = 9
+# The decoder maps bytes that are not UTF-8 to these lone surrogates, so
+# only the summary span is checked and bytes past it are never validated.
+_NOT_UTF8 = re.compile("[\udc80-\udcff]")
 
-    Only structural state is tracked: brace/bracket depth, whether the
-    cursor is inside a string, and escape state.  UTF-8 continuation
-    bytes never collide with ASCII structural characters, so byte-wise
-    scanning is safe for any UTF-8 input.
-    """
 
-    def __init__(self) -> None:
-        self.buffer = bytearray()
-        self.entries: list[tuple[str, int, int]] = []  # (key, value_start, value_end)
-        self.first_key: str | None = None
-        self.closed = False
-        self._state = "start"
-        self._pos = 0
-        self._depth = 0
-        self._in_string = False
-        self._escaped = False
-        self._key_start = 0
-        self._value_start = 0
-        self._current_key = ""
+class _BlockText:
+    """The decoded text of a file's leading blocks, extended on demand."""
 
-    def feed(self, chunk: bytes) -> None:
-        self.buffer.extend(chunk)
-        buf = self.buffer
-        pos = self._pos
-        end = len(buf)
-        while pos < end:
-            byte = buf[pos]
-            state = self._state
-            if state == "start":
-                if pos == 0 and byte == 0xEF:
-                    if end < 3:
-                        break  # partial BOM; wait for more bytes
-                    if buf[:3] == b"\xef\xbb\xbf":
-                        pos += 3
-                        continue
-                    raise MalformedFile("invalid leading bytes (not a UTF-8 BOM)")
-                if byte in _WS:
-                    pos += 1
-                    continue
-                if byte != 0x7B:  # {
-                    raise MalformedFile(
-                        f"expected a top-level object, found byte {byte:#x} at offset {pos}")
-                self._state = "before_key"
-                pos += 1
-            elif state == "before_key":
-                if byte in _WS:
-                    pos += 1
-                    continue
-                if byte == 0x22:  # "
-                    self._key_start = pos
-                    self._in_string = True
-                    self._escaped = False
-                    self._state = "in_key"
-                    pos += 1
-                elif byte == 0x7D:  # }
-                    self.closed = True
-                    self._state = "done"
-                    pos += 1
-                else:
-                    raise MalformedFile(f"expected a key string at offset {pos}")
-            elif state == "in_key":
-                if self._escaped:
-                    self._escaped = False
-                elif byte == 0x5C:  # backslash
-                    self._escaped = True
-                elif byte == 0x22:
-                    raw = bytes(buf[self._key_start:pos + 1])
-                    try:
-                        self._current_key = json.loads(raw.decode("utf-8"))
-                    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-                        raise MalformedFile(f"unparseable key at offset {self._key_start}") from exc
-                    if self.first_key is None:
-                        self.first_key = self._current_key
-                    self._in_string = False
-                    self._state = "after_key"
-                pos += 1
-            elif state == "after_key":
-                if byte in _WS:
-                    pos += 1
-                    continue
-                if byte != 0x3A:  # :
-                    raise MalformedFile(f"expected ':' at offset {pos}")
-                self._state = "before_value"
-                pos += 1
-            elif state == "before_value":
-                if byte in _WS:
-                    pos += 1
-                    continue
-                self._value_start = pos
-                if byte in (0x7B, 0x5B):  # { [
-                    self._depth = 1
-                    self._in_string = False
-                    self._escaped = False
-                    self._state = "in_container"
-                elif byte == 0x22:
-                    self._in_string = True
-                    self._escaped = False
-                    self._state = "in_string_value"
-                else:
-                    self._state = "in_scalar"
-                pos += 1
-            elif state == "in_container":
-                if self._in_string:
-                    if self._escaped:
-                        self._escaped = False
-                    elif byte == 0x5C:
-                        self._escaped = True
-                    elif byte == 0x22:
-                        self._in_string = False
-                else:
-                    if byte == 0x22:
-                        self._in_string = True
-                        self._escaped = False
-                    elif byte in (0x7B, 0x5B):
-                        self._depth += 1
-                    elif byte in (0x7D, 0x5D):
-                        self._depth -= 1
-                        if self._depth == 0:
-                            self._finish_value(pos + 1)
-                pos += 1
-            elif state == "in_string_value":
-                if self._escaped:
-                    self._escaped = False
-                elif byte == 0x5C:
-                    self._escaped = True
-                elif byte == 0x22:
-                    self._in_string = False
-                    self._finish_value(pos + 1)
-                pos += 1
-            elif state == "in_scalar":
-                if byte in _WS or byte in (0x2C, 0x7D):  # , }
-                    self._finish_value(pos)
-                    continue  # reprocess the delimiter in after_value
-                pos += 1
-            elif state == "after_value":
-                if byte in _WS:
-                    pos += 1
-                    continue
-                if byte == 0x2C:  # ,
-                    self._state = "before_key"
-                    pos += 1
-                elif byte == 0x7D:
-                    self.closed = True
-                    self._state = "done"
-                    pos += 1
-                else:
-                    raise MalformedFile(f"expected ',' or '}}' at offset {pos}")
-            else:  # done: trailing bytes are not our business
-                pos = end
-        self._pos = pos
+    def __init__(self, handle, path, block_size: int) -> None:
+        self._handle = handle
+        self._block_size = block_size
+        self._decoder = codecs.getincrementaldecoder("utf-8")("surrogateescape")
+        self.path = path
+        self.text = ""
+        self.bytes_read = 0
+        self.eof = False
 
-    def _finish_value(self, value_end: int) -> None:
-        self.entries.append((self._current_key, self._value_start, value_end))
-        self._state = "after_value"
+    def error(self, message: str) -> MalformedFile:
+        return MalformedFile(f"{self.path}: {message}")
 
-    def find_entry(self, key: str) -> tuple[int, int, int] | None:
-        """Return (entry_index, value_start, value_end) for *key*, if complete."""
-        for idx, (entry_key, start, end) in enumerate(self.entries):
-            if entry_key == key:
-                return idx, start, end
-        return None
+    def read_until(self, closer: str | None) -> None:
+        """Append blocks up to the first holding *closer* (any block if None)."""
+        if self.eof:
+            raise self.error("empty file" if self.bytes_read == 0
+                             else "truncated before the summary completed")
+        blocks = []
+        while not self.eof:
+            chunk = self._handle.read(self._block_size)
+            self.bytes_read += len(chunk)
+            self.eof = not chunk
+            blocks.append(self._decoder.decode(chunk, final=self.eof))
+            if closer is None or closer in blocks[-1]:
+                break
+        self.text += "".join(blocks)
+
+    def next_char(self, pos: int, allowed: str | None = None) -> tuple[str, int]:
+        """Skip whitespace from *pos*; return the next character, one of *allowed* if given."""
+        while (pos := _WS.match(self.text, pos).end()) == len(self.text):
+            self.read_until(None)
+        char = self.text[pos]
+        if allowed is not None and char not in allowed:
+            raise self.error(f"expected one of {list(allowed)} at character {pos}, found {char!r}")
+        return char, pos
+
+    def decode(self, start: int, walk: bool = False) -> tuple[object, int]:
+        """Decode the JSON value at *start*; return it and the index past it.
+
+        With *walk*, an incomplete object is walked member by member.  Any
+        other incomplete value is decoded again only after a block holding
+        its closing character, so small blocks do not cost a decode each.
+        """
+        closer = {"{": "}", "[": "]", '"': '"'}.get(self.text[start])
+        while True:
+            try:
+                value, end = _DECODER.raw_decode(self.text, start)
+            except json.JSONDecodeError as exc:
+                message, pos = exc.msg, exc.pos
+            else:
+                if closer or self.text[end:end + 1] in _DELIMITERS:
+                    return value, end
+                message, pos = "Expecting ',' or '}' after a value", end
+            if not (message.startswith("Unterminated string")
+                    or len(self.text) - pos <= _CUT_TOKEN_MAX):
+                raise self.error(f"{message} at character {pos}")
+            if closer == "}" and walk:
+                for _ in self.members(start):
+                    pass
+            else:
+                self.read_until(closer)
+
+    def members(self, pos: int, walk: bool = False) -> Iterator[tuple[str, int]]:
+        """Walk the object whose "{" is at *pos*, yielding (key, value start).
+
+        Each value is decoded, with *walk*, only when the walk resumes past it.
+        """
+        char, pos = self.next_char(pos + 1, '"}')
+        while char != "}":
+            key, pos = self.decode(pos)
+            pos = self.next_char(pos, ":")[1]
+            start = self.next_char(pos + 1)[1]
+            yield key, start
+            char, pos = self.next_char(self.decode(start, walk)[1], ",}")
+            if char == ",":
+                char, pos = self.next_char(pos + 1, '"')
 
 
 def extract_summary(
@@ -264,11 +191,11 @@ def extract_summary(
     """Read just enough of *path* to return its summary block.
 
     In strict mode the summary must be the file's first key; finding
-    any other key first raises SummaryNotFirst without reading further.
-    In lenient mode the scanner walks forward through the top-level
-    object and returns the summary with a warning recording its actual
-    position; a file with no summary key at all raises NoSummary.  The
-    returned block is identical to what a full-file parse would produce
+    any other key first raises SummaryNotFirst before its value is read.
+    In lenient mode the reader decodes each earlier top-level value and
+    returns the summary with a warning recording its actual position; a
+    file with no summary key at all raises NoSummary.  The returned
+    block is identical to what a full-file parse would produce
     regardless of ``block_size``; only ``bytes_read`` varies.
     """
     if block_size < 1:
@@ -278,47 +205,30 @@ def extract_summary(
     except OSError as exc:
         raise IoFailure(f"cannot open {path}: {exc}") from exc
 
-    scanner = _TopLevelScanner()
-    bytes_read = 0
     with handle:
-        while True:
-            chunk = handle.read(block_size)
-            if chunk:
-                bytes_read += len(chunk)
-                scanner.feed(chunk)
-
-            if strict and scanner.first_key is not None and scanner.first_key != SUMMARY_KEY:
-                raise SummaryNotFirst(
-                    f"{path}: first top-level key is {scanner.first_key!r}, not {SUMMARY_KEY!r}")
-
-            found = scanner.find_entry(SUMMARY_KEY)
-            if found is not None:
-                index, start, end = found
-                warning = None
-                if index > 0:
-                    warning = (f"summary block is key #{index + 1} of the file, "
-                               "not the first key")
-                return PrefixReadResult(
-                    summary=_parse_summary_span(scanner.buffer, start, end, path),
-                    bytes_read=bytes_read,
-                    summary_end_offset=end,
-                    warning=warning,
-                )
-            if scanner.closed:
-                raise NoSummary(f"{path}: no {SUMMARY_KEY!r} key in top-level object")
-            if not chunk:
-                if bytes_read == 0:
-                    raise MalformedFile(f"{path}: empty file")
-                raise MalformedFile(f"{path}: truncated before the summary completed")
-
-
-def _parse_summary_span(buffer: bytearray, start: int, end: int, path) -> SummaryBlock:
-    raw = bytes(buffer[start:end])
-    try:
-        obj = json.loads(raw.decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise MalformedFile(f"{path}: summary value does not parse: {exc}") from exc
-    return summary_block_from_dict(obj)
+        src = _BlockText(handle, path, block_size)
+        try:
+            pos = 1 if src.next_char(0) == ("\ufeff", 0) else 0
+            # Walk top-level values only, so deep nesting never recurses here.
+            top = src.next_char(pos, "{")[1]
+            for index, (key, start) in enumerate(src.members(top, walk=True)):
+                if key == SUMMARY_KEY:
+                    value, end = src.decode(start, walk=True)
+                    if _NOT_UTF8.search(src.text, start, end):
+                        raise src.error("summary value is not valid UTF-8")
+                    return PrefixReadResult(
+                        summary=summary_block_from_dict(value),
+                        bytes_read=src.bytes_read,
+                        summary_end_offset=len(src.text[:end].encode("utf-8", "surrogateescape")),
+                        warning=(f"summary block is key #{index + 1} of the file, "
+                                 "not the first key" if index else None),
+                    )
+                if strict:
+                    raise SummaryNotFirst(
+                        f"{path}: first top-level key is {key!r}, not {SUMMARY_KEY!r}")
+        except RecursionError:
+            raise src.error("nested too deeply to decode") from None
+    raise NoSummary(f"{path}: no {SUMMARY_KEY!r} key in top-level object")
 
 
 def read_registry_summaries(

@@ -1,3 +1,5 @@
+import json
+
 import pytest
 
 from sdsr.bench import (
@@ -14,7 +16,7 @@ from sdsr.bench import (
     selection_set_to_dict,
 )
 from sdsr.engine import QuestionSelection, Selection, SelectionSet
-from sdsr.errors import EmptyKey, TransportError, UnknownQuestion
+from sdsr.errors import EmptyKey, MalformedFile, TransportError, UnknownQuestion
 from sdsr.fixtures import fixture_prompt_config, round1_selection_fixture
 from sdsr.guidance import build_condition
 
@@ -190,6 +192,24 @@ class TestQuestionLint:
 
     def test_questions_json_round_trip(self, questions):
         assert questions_from_json(questions_to_json(questions)) == questions
+
+    def test_duplicate_ids_are_rejected(self):
+        # Two key entries for Q1 would score one correct answer as 2.0 / 2.0.
+        key = json.dumps([{"id": 1, "text": "first", "primary_target": "A"},
+                          {"id": 1, "text": "again", "primary_target": "A"}])
+        with pytest.raises(MalformedFile, match=r"duplicate question ids: \[1\]"):
+            questions_from_json(key)
+
+    @pytest.mark.parametrize("field", ["id", "text", "primary_target"])
+    def test_missing_required_field_is_rejected(self, field):
+        entry = {"id": 1, "text": "t", "primary_target": "A"}
+        del entry[field]
+        with pytest.raises(MalformedFile, match=field):
+            questions_from_json(json.dumps([entry]))
+
+    def test_entry_that_is_not_an_object_is_rejected(self):
+        with pytest.raises(MalformedFile):
+            questions_from_json("[1]")
 
 
 class FailOnCondition:

@@ -84,6 +84,21 @@ class TestScore:
         assert payload["total"] == 1.0
 
 
+    @pytest.mark.parametrize("key", [
+        [{"id": 1, "text": "t", "primary_target": "A"},
+         {"id": 1, "text": "t", "primary_target": "A"}],
+        [{"id": 1, "text": "t"}],
+    ], ids=["duplicate-id", "missing-primary-target"])
+    def test_malformed_key_exits_one(self, tmp_path, capsys, key):
+        key_path = tmp_path / "key.json"
+        key_path.write_text(json.dumps(key), encoding="utf-8")
+        selections = tmp_path / "response.txt"
+        selections.write_text("Q01: A | x\n", encoding="utf-8")
+        outcome = run(["score", "--selections", str(selections), "--key", str(key_path)])
+        assert outcome.exit_code == 1
+        assert "MalformedFile" in capsys.readouterr().err
+
+
 class TestSummarizeStripCondition:
     def test_summarize_then_validate(self, fixture_dir, tmp_path):
         out = tmp_path / "summarized.json"
@@ -172,6 +187,16 @@ class TestRouteSelectBench:
         payload = json.loads(outcome.stdout_payload)
         assert payload["selected"][0]["file_id"] == "skills.json"
 
+    def test_route_ignores_a_defect_after_the_summary(self, tmp_path):
+        reg = tmp_path / "registry"
+        reg.mkdir()
+        (reg / "nocomma.json").write_text(
+            '{"_summary": {"category_index": [], "_llm_instructions": "ok", '
+            '"routing_roles": {}} "Body": {}}', encoding="utf-8")
+        outcome = run(["route", "--query", "anything", "--dir", str(reg)])
+        assert outcome.exit_code == 0
+        assert outcome.stdout_payload.startswith("nocomma.json\t")
+
     def test_route_stdout_is_reproducible(self, fixture_dir, tmp_path):
         reg = tmp_path / "registry"
         reg.mkdir()
@@ -223,6 +248,20 @@ class TestRouteSelectBench:
         assert outcome.exit_code == 3
         assert "failed" in outcome.stdout_payload
         capsys.readouterr()
+
+    def test_bench_with_duplicate_question_ids_exits_one(self, fixture_dir, tmp_path, capsys):
+        questions = json.loads((fixture_dir / "questions_20.json").read_text(encoding="utf-8"))
+        questions[1]["id"] = questions[0]["id"]
+        path = tmp_path / "questions.json"
+        path.write_text(json.dumps(questions), encoding="utf-8")
+        outcome = run([
+            "bench", "--conditions", "A",
+            "--lib", str(fixture_dir / "library_r1.json"),
+            "--questions", str(path),
+            "--prompts", str(fixture_dir / "prompts.json"),
+        ])
+        assert outcome.exit_code == 1
+        assert "duplicate question ids" in capsys.readouterr().err
 
     def test_select_with_complement_pass(self, fixture_dir):
         outcome = run([

@@ -2,6 +2,8 @@ import json
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sdsr.errors import IoFailure, MalformedFile, NoSummary, SummaryNotFirst
 from sdsr.fixtures import build_fixture_library
@@ -166,6 +168,36 @@ class TestExtractSummary:
         with pytest.raises(MalformedFile):
             extract_summary(path)
 
+    @pytest.mark.parametrize("block_size", [1, 7, 4096])
+    @pytest.mark.parametrize("rest", [b' "Body": {}}', b', "Body": "\xff\xfe"}'],
+                             ids=["missing-comma", "not-utf8"])
+    def test_bytes_past_the_summary_are_not_validated(self, tmp_path, block_size, rest):
+        # A missing comma or bytes that are not UTF-8 after the summary
+        # must not matter, however many of them share the summary's block.
+        path = tmp_path / "trailing.json"
+        path.write_bytes(b'{"_summary": {"category_index": [], "_llm_instructions": "ok", '
+                         b'"routing_roles": {}}' + rest)
+        result = extract_summary(path, block_size=block_size)
+        assert result.summary.llm_instructions == "ok"
+
+    @pytest.mark.parametrize("block_size", [1, 4096])
+    def test_summary_that_is_not_utf8_is_malformed(self, tmp_path, block_size):
+        path = tmp_path / "latin1.json"
+        path.write_bytes(b'{"_summary": {"category_index": [], "_llm_instructions": "caf\xe9", '
+                         b'"routing_roles": {}}, "Body": {}}')
+        with pytest.raises(MalformedFile):
+            extract_summary(path, block_size=block_size)
+
+    @pytest.mark.parametrize("strict,content", [
+        (True, '{"_summary": ' + "[" * 5000 + "]" * 5000 + "}"),
+        (False, '{"Body": ' + '{"a": ' * 5000 + "1" + "}" * 5000 + ', "_summary": {}}'),
+    ], ids=["deep-summary", "deep-body-first"])
+    def test_nesting_past_the_recursion_limit_is_malformed(self, tmp_path, strict, content):
+        path = tmp_path / "deep.json"
+        path.write_text(content, encoding="utf-8")
+        with pytest.raises(MalformedFile):
+            extract_summary(path, strict=strict)
+
     def test_missing_file(self, tmp_path):
         with pytest.raises(IoFailure):
             extract_summary(tmp_path / "missing.json")
@@ -173,6 +205,71 @@ class TestExtractSummary:
     def test_block_size_must_be_positive(self, library_file):
         with pytest.raises(ValueError):
             extract_summary(library_file, block_size=0)
+
+
+# Property: the reader's outcome does not depend on the block size.
+
+BLOCK_SIZES = (1, 2, 3, 7, 64, 4096)
+
+# Quotes, backslashes, structural characters and multibyte text, but no
+# underscore, so no generated string can spell "_summary".
+_TEXT = st.text(alphabet='ab "\\{}[],:\n\té中🎵', max_size=10)
+_SUMMARIES = st.fixed_dictionaries({
+    "category_index": st.lists(st.fixed_dictionaries({
+        "name": _TEXT, "skill_count": st.integers(0, 99), "routing_hint": _TEXT}), max_size=4),
+    "_llm_instructions": _TEXT,
+    "routing_roles": st.dictionaries(_TEXT, st.lists(_TEXT, max_size=2), max_size=2),
+})
+_TOP_LEVEL_VALUES = st.one_of(
+    st.integers(), st.floats(), _TEXT, st.booleans(), st.none(),
+    st.lists(st.one_of(st.integers(), st.floats(), _TEXT), max_size=4),
+    st.dictionaries(_TEXT, st.integers(), max_size=3))
+
+
+@st.composite
+def prefix_files(draw):
+    """(file bytes, values before the summary?, untruncated?) for one case."""
+    members = draw(st.lists(st.tuples(_TEXT, _TOP_LEVEL_VALUES), max_size=3))
+    leading = bool(members)
+    members += [("_summary", draw(_SUMMARIES)), ("Body", draw(_TOP_LEVEL_VALUES))]
+    ascii_only = draw(st.booleans())
+    indent = draw(st.sampled_from([None, 1]))
+    data = ("{" + ", ".join(
+        f"{json.dumps(key, ensure_ascii=ascii_only)}: "
+        f"{json.dumps(value, ensure_ascii=ascii_only, indent=indent)}"
+        for key, value in members) + "}").encode("utf-8")
+    if draw(st.booleans()):
+        data = b"\xef\xbb\xbf" + data
+    cut = draw(st.none() | st.integers(0, len(data)))
+    return data[:cut], leading, cut is None
+
+
+def _outcome(path, block_size, strict):
+    try:
+        result = extract_summary(path, block_size=block_size, strict=strict)
+    except MalformedFile as exc:
+        return type(exc)
+    assert result.summary_end_offset <= result.bytes_read
+    assert result.bytes_read <= result.summary_end_offset + block_size
+    return result.summary, result.summary_end_offset, result.warning
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=prefix_files())
+def test_outcome_is_independent_of_block_size(tmp_path_factory, case):
+    data, leading, untruncated = case
+    path = tmp_path_factory.mktemp("prop") / "case.json"
+    path.write_bytes(data)
+    for strict in (True, False):
+        outcomes = [_outcome(path, block_size, strict) for block_size in BLOCK_SIZES]
+        assert all(outcome == outcomes[0] for outcome in outcomes), (strict, outcomes)
+    if untruncated:
+        value, end = oracle_summary_end(path)
+        summary, summary_end, warning = _outcome(path, 4096, strict=not leading)
+        assert (summary, summary_end) == (summary_block_from_dict(value), end)
+        assert (warning is not None) == leading
+        if leading:
+            assert _outcome(path, 4096, strict=True) is SummaryNotFirst
 
 
 class TestTokenEstimation:
