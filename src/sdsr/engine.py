@@ -17,6 +17,20 @@ tokens H (weights: query 2, name 2, text-only 1):
 which is 1.0 when the query tokens equal the name tokens of a
 name-only entry and 0.0 on zero overlap.  Ties break lexicographically
 everywhere.
+
+Each entry is compiled once into (N, T', base) with T' = H - N and
+base = 2*|N| + |T'|.  Since |union(Q, N)| = |N| + |Q| - |Q & N| and
+|T' - Q| = |T'| - |Q & T'|, the denominator is
+
+    base + 2*(|Q| - |Q & N|) - |Q & T'|
+
+so scoring a compiled entry takes two set intersections, and yields
+the same integer numerator and denominator, hence the same float.
+
+Per-call cost of the lexical backend: every query is tokenized once
+per call, and every category, skill and index-entry text once per
+call, however many questions it is scored against.  Nothing is cached
+across calls.
 """
 
 from __future__ import annotations
@@ -127,17 +141,36 @@ class RouterBackend(Protocol):
         """Pick up to two (category, skill) selections per question."""
 
 
+_Compiled = tuple[frozenset[str], frozenset[str], int]
+
+
+def _compile(name_tokens: frozenset[str], text_tokens: frozenset[str]) -> _Compiled:
+    """(N, T', base): name tokens, text-only tokens, 2*|N| + |T'|."""
+    text_only = text_tokens - name_tokens
+    return name_tokens, text_only, 2 * len(name_tokens) + len(text_only)
+
+
+def _compile_text(name: str, text: str) -> _Compiled:
+    return _compile(tokenize(name), tokenize(text))
+
+
+def _overlap(query_tokens: frozenset[str], entry: _Compiled) -> float:
+    """The scoring rule of the module docstring, on a compiled entry."""
+    name_tokens, text_only, base = entry
+    shared_name = len(query_tokens & name_tokens)
+    shared_text = len(query_tokens & text_only)
+    denominator = base + 2 * (len(query_tokens) - shared_name) - shared_text
+    if denominator == 0:
+        return 0.0
+    return (2 * shared_name + shared_text) / denominator
+
+
 def weighted_overlap(
     query_tokens: frozenset[str],
     name_tokens: frozenset[str],
     text_tokens: frozenset[str],
 ) -> float:
-    text_only = text_tokens - name_tokens
-    numerator = 2 * len(query_tokens & name_tokens) + len(query_tokens & text_only)
-    denominator = 2 * len(query_tokens | name_tokens) + len(text_only - query_tokens)
-    if denominator == 0:
-        return 0.0
-    return numerator / denominator
+    return _overlap(query_tokens, _compile(name_tokens, text_tokens))
 
 
 def lexical_score(query: str, entry: CategoryIndexEntry | Category) -> float:
@@ -151,12 +184,12 @@ def lexical_score(query: str, entry: CategoryIndexEntry | Category) -> float:
         text = entry.routing_hint
     else:
         text = entry.description
-    return weighted_overlap(tokenize(query), tokenize(entry.name), tokenize(text))
+    return _overlap(tokenize(query), _compile_text(entry.name, text))
 
 
 def skill_score(query: str, skill: Skill) -> float:
     """Same weighting applied to a skill's name and description."""
-    return weighted_overlap(tokenize(query), tokenize(skill.name), tokenize(skill.description))
+    return _overlap(tokenize(query), _compile_text(skill.name, skill.description))
 
 
 class LexicalBackend:
@@ -167,6 +200,10 @@ class LexicalBackend:
     category score plus skill score and the best pair wins; the best
     pair from a different category becomes the secondary guess when it
     scores above zero.
+
+    Both walk their input once per call: each query is tokenized once,
+    and each index entry, category and skill is compiled once and then
+    scored against every question.
     """
 
     deterministic = True
@@ -174,11 +211,13 @@ class LexicalBackend:
     def route(
         self, query: str, summaries: Sequence[tuple[str, SummaryBlock]]
     ) -> list[tuple[str, float]]:
+        query_tokens = tokenize(query)
         scores = []
         for file_id, block in summaries:
             best = 0.0
             for entry in block.category_index:
-                best = max(best, lexical_score(query, entry))
+                best = max(best, _overlap(
+                    query_tokens, _compile_text(entry.name, entry.routing_hint)))
             scores.append((file_id, best))
         return scores
 
@@ -189,15 +228,29 @@ class LexicalBackend:
         system_prompt: str | None = None,
         artifact: bytes | None = None,
     ) -> SelectionSet:
+        queries = [tokenize(text) for _, text in questions]
+        # One list of (-score, category, skill, score) pairs per question.
+        ranked: list[list[tuple[float, str, str, float]]] = [[] for _ in queries]
+        for lib in libraries:
+            for cat in lib.categories:
+                cat_entry = _compile_text(cat.name, cat.description)
+                cat_scores = [_overlap(q, cat_entry) for q in queries]
+                cat_name = cat.name.strip()
+                for skill in cat.skills:
+                    skill_entry = _compile_text(skill.name, skill.description)
+                    skill_name = skill.name.strip()
+                    for pairs, query_tokens, cat_component in zip(ranked, queries, cat_scores):
+                        score = cat_component + _overlap(query_tokens, skill_entry)
+                        pairs.append((-score, cat_name, skill_name, score))
         selections = []
-        for question_id, text in questions:
-            ranked = self._ranked_pairs(text, libraries)
-            if not ranked:
+        for (question_id, _), pairs in zip(questions, ranked):
+            if not pairs:
                 continue
-            _, best_category, best_skill, best_score = ranked[0]
+            pairs.sort()
+            _, best_category, best_skill, _ = pairs[0]
             primary = Selection(category=best_category, skill=best_skill)
             secondary = None
-            for _, category, skill, score in ranked[1:]:
+            for _, category, skill, score in pairs[1:]:
                 if category != best_category:
                     if score > 0.0:
                         secondary = Selection(category=category, skill=skill)
@@ -205,21 +258,6 @@ class LexicalBackend:
             selections.append(QuestionSelection(
                 question_id=question_id, primary=primary, secondary=secondary))
         return SelectionSet(selections=tuple(selections))
-
-    @staticmethod
-    def _ranked_pairs(
-        text: str, libraries: Sequence[KnowledgeLibrary]
-    ) -> list[tuple[float, str, str, float]]:
-        """All (category, skill) pairs sorted best-first with lexical ties."""
-        pairs = []
-        for lib in libraries:
-            for cat in lib.categories:
-                cat_component = lexical_score(text, cat)
-                for skill in cat.skills:
-                    score = cat_component + skill_score(text, skill)
-                    pairs.append((-score, cat.name.strip(), skill.name.strip(), score))
-        pairs.sort()
-        return pairs
 
 
 def route_tier1(req: RoutingRequest, backend: RouterBackend) -> RoutingResult:

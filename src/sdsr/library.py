@@ -19,6 +19,7 @@ from __future__ import annotations
 import json
 import re
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from .errors import MalformedFile
 
@@ -42,6 +43,12 @@ ABSTRACTION_LEVELS = frozenset({
 DISTRACTOR_TIERS = frozenset({"high", "low"})
 
 _TOKEN_SPLIT = re.compile(r"[^0-9A-Za-z]+")
+
+# Names end up in response lines ``Q<nn>: <category> | <skill> ; ...``,
+# which are split on these delimiters and on every line break that
+# str.splitlines knows.
+_GRAMMAR_DELIMITERS = frozenset("|;")
+_LINE_BREAKS = frozenset("\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029")
 
 
 def tokenize(text: str) -> frozenset[str]:
@@ -129,13 +136,20 @@ class KnowledgeLibrary:
         object.__setattr__(self, "categories", tuple(self.categories))
         object.__setattr__(self, "provenance", dict(self.provenance))
 
-    def category(self, name: str) -> Category | None:
-        """Look up a category by exact, case-sensitive, trimmed name."""
-        wanted = name.strip()
+    @cached_property
+    def _by_name(self) -> dict[str, Category]:
+        # Built on first lookup; not a field, so == and the wire format ignore it.
+        by_name: dict[str, Category] = {}
         for cat in self.categories:
-            if cat.name.strip() == wanted:
-                return cat
-        return None
+            by_name.setdefault(cat.name.strip(), cat)
+        return by_name
+
+    def category(self, name: str) -> Category | None:
+        """Look up a category by exact, case-sensitive, trimmed name.
+
+        When two categories share a trimmed name the first one wins.
+        """
+        return self._by_name.get(name.strip())
 
     @property
     def category_names(self) -> tuple[str, ...]:
@@ -182,6 +196,14 @@ def validate_library(
         if not name:
             findings.append(Finding(SEVERITY_ERROR, "EMPTY_NAME", "category with empty name"))
             continue
+        if not _LINE_BREAKS.isdisjoint(cat.name):
+            findings.append(Finding(
+                SEVERITY_ERROR, "CATEGORY_NAME_LINEBREAK",
+                f"category name contains a line break: {name!r}"))
+        if not _GRAMMAR_DELIMITERS.isdisjoint(name):
+            findings.append(Finding(
+                SEVERITY_ERROR, "CATEGORY_NAME_DELIMITER",
+                f"category name contains '|' or ';': {name!r}"))
         if name in seen:
             findings.append(Finding(
                 SEVERITY_ERROR, "DUPLICATE_CATEGORY", f"category name not unique: {name}"))
@@ -212,10 +234,14 @@ def validate_library(
                 findings.append(Finding(
                     SEVERITY_ERROR, "EMPTY_SKILL_NAME", f"{name}: skill with empty name"))
                 continue
-            if "\n" in skill.name or "\r" in skill.name:
+            if not _LINE_BREAKS.isdisjoint(skill.name):
                 findings.append(Finding(
                     SEVERITY_ERROR, "SKILL_NAME_LINEBREAK",
                     f"{name}: skill name contains a line break: {sname!r}"))
+            if not _GRAMMAR_DELIMITERS.isdisjoint(sname):
+                findings.append(Finding(
+                    SEVERITY_ERROR, "SKILL_NAME_DELIMITER",
+                    f"{name}: skill name contains '|' or ';': {sname!r}"))
             if sname in skill_names:
                 findings.append(Finding(
                     SEVERITY_ERROR, "DUPLICATE_SKILL", f"{name}: duplicate skill {sname}"))

@@ -112,8 +112,10 @@ class RemoteBackend:
             try:
                 status, body = self._transport(
                     cfg.endpoint, payload, self._headers(), cfg.timeout)
-            except requests.RequestException as exc:
-                last_error = f"request failed: {exc}"
+            except OSError as exc:
+                # requests.RequestException is an OSError; so are the socket
+                # errors a custom transport may raise.
+                last_error = f"request failed: {type(exc).__name__}: {exc}"
                 continue
             if status == 200:
                 return self._extract_content(body)

@@ -1,4 +1,6 @@
+import hashlib
 import json
+from pathlib import Path
 
 import pytest
 
@@ -249,6 +251,25 @@ class TestRouteSelectBench:
         assert "failed" in outcome.stdout_payload
         capsys.readouterr()
 
+    def test_select_exit_three_when_remote_transport_raises_socket_error(
+            self, fixture_dir, tmp_path, monkeypatch, capsys):
+        import sdsr.remote as remote_module
+
+        def resetting_transport(url, payload, headers, timeout):
+            raise ConnectionResetError(104, "Connection reset by peer")
+
+        monkeypatch.setattr(remote_module, "_requests_transport", resetting_transport)
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"remote": {
+            "endpoint": "https://chat.example/v1/completions", "model": "m",
+            "max_retries": 2, "retry_backoff": 0.0}}), encoding="utf-8")
+        outcome = run([
+            "--config", str(config), "select", "--backend", "remote",
+            "--query", "route a task", "--libs", str(fixture_dir / "library_r1.json"),
+        ])
+        assert outcome.exit_code == 3
+        assert "ConnectionResetError" in capsys.readouterr().err
+
     def test_bench_with_duplicate_question_ids_exits_one(self, fixture_dir, tmp_path, capsys):
         questions = json.loads((fixture_dir / "questions_20.json").read_text(encoding="utf-8"))
         questions[1]["id"] = questions[0]["id"]
@@ -335,3 +356,67 @@ def test_main_prints_payload_and_returns_code(fixture_dir, capsys):
     captured = capsys.readouterr()
     assert code == 0
     assert captured.out == "no findings\n"
+
+
+COMMITTED_FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
+
+
+class TestPinnedOutput:
+    """sha256 of CLI stdout, so scoring rewrites cannot shift a byte.
+
+    The digests were taken before the lexical scorer was compiled once
+    per call; the transcripts that ``bench --out-dir`` writes pin every
+    selection, which the JSON summary on stdout does not show.
+    """
+
+    @pytest.fixture(scope="class")
+    def round3_library(self, tmp_path_factory):
+        work = tmp_path_factory.mktemp("round3")
+        dispatch(["expand", "--in", str(COMMITTED_FIXTURES / "library_r1.json"),
+                  "--specs", str(COMMITTED_FIXTURES / "round2_specs.json"),
+                  "--out", str(work / "lib_r2.json")])
+        dispatch(["expand", "--in", str(work / "lib_r2.json"),
+                  "--specs", str(COMMITTED_FIXTURES / "round3_specs.json"),
+                  "--out", str(work / "lib_r3.json")])
+        return work / "lib_r3.json"
+
+    @staticmethod
+    def stdout_digest(argv, capsys):
+        capsys.readouterr()
+        code = main(argv)
+        out = capsys.readouterr().out
+        assert code == 0
+        return hashlib.sha256(out.encode("utf-8")).hexdigest()
+
+    @staticmethod
+    def files_digest(directory):
+        digest = hashlib.sha256()
+        for path in sorted(directory.iterdir()):
+            digest.update(path.name.encode("utf-8") + b"\0" + path.read_bytes())
+        return digest.hexdigest()
+
+    @pytest.mark.parametrize("library, stdout_sha, files_sha", [
+        ("round1",
+         "a9ad79b4c40fa3d64c58d84201eade6d314e51259466e69d3a295e5b9834c388",
+         "d539da96596bd62d72a8ba5e25ec2863ae8173b6293e2cc6016de5d12b012898"),
+        ("round3",
+         "a9ad79b4c40fa3d64c58d84201eade6d314e51259466e69d3a295e5b9834c388",
+         "984c056f0e2b3c7bd01420af295f735f4975bdfe6b79a59271cb85a219060dac"),
+    ])
+    def test_bench_conditions_abcd(self, library, stdout_sha, files_sha, round3_library,
+                                   tmp_path, capsys):
+        lib = COMMITTED_FIXTURES / "library_r1.json" if library == "round1" else round3_library
+        argv = ["--format", "json", "bench", "--conditions", "A,B,C,D",
+                "--lib", str(lib), "--questions", str(COMMITTED_FIXTURES / "questions_20.json"),
+                "--out-dir", str(tmp_path / "out")]
+        assert self.stdout_digest(argv, capsys) == stdout_sha
+        assert self.files_digest(tmp_path / "out") == files_sha
+
+    def test_select_over_round1_and_round3(self, round3_library, capsys):
+        query = json.loads(
+            (COMMITTED_FIXTURES / "questions_20.json").read_text(encoding="utf-8"))[0]["text"]
+        argv = ["--format", "json", "select", "--query", query,
+                "--libs", f"{COMMITTED_FIXTURES / 'library_r1.json'},{round3_library}",
+                "--complement-pass"]
+        assert self.stdout_digest(argv, capsys) == (
+            "14e571cc233b329bbef0438debc3cd93e9226e32981471b783665a1f5a0d6a07")

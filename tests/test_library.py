@@ -98,6 +98,57 @@ def test_skill_invariants():
     assert {"DUPLICATE_SKILL", "SKILL_NAME_LINEBREAK", "EMPTY_SKILL_NAME"} <= codes
 
 
+@pytest.mark.parametrize("name, code", [
+    ("Cat;One", "CATEGORY_NAME_DELIMITER"),
+    ("Cat|One", "CATEGORY_NAME_DELIMITER"),
+    ("Cat\nOne", "CATEGORY_NAME_LINEBREAK"),
+    ("Cat\rOne", "CATEGORY_NAME_LINEBREAK"),
+    ("Cat\u2028One", "CATEGORY_NAME_LINEBREAK"),
+    ("Cat_One\n", "CATEGORY_NAME_LINEBREAK"),
+])
+def test_grammar_unsafe_category_names_are_errors(name, code):
+    cat = Category(name=name, description="d", skills=(Skill(name="S"),))
+    findings = validate_library(KnowledgeLibrary(categories=(cat,)))
+    assert [(f.severity, f.code) for f in findings] == [("ERROR", code)]
+
+
+@pytest.mark.parametrize("name, code", [
+    ("Sk|x", "SKILL_NAME_DELIMITER"),
+    ("Sk;x", "SKILL_NAME_DELIMITER"),
+    ("Sk\x85x", "SKILL_NAME_LINEBREAK"),
+    ("Sk\x0bx", "SKILL_NAME_LINEBREAK"),
+])
+def test_grammar_unsafe_skill_names_are_errors(name, code):
+    cat = Category(name="T", description="d", skills=(Skill(name=name),))
+    findings = validate_library(KnowledgeLibrary(categories=(cat,)))
+    assert [(f.severity, f.code) for f in findings] == [("ERROR", code)]
+
+
+def test_name_whose_answer_line_would_not_parse_is_rejected():
+    # Q01: Cat;One | Sk|x  is not a parseable answer line.
+    cat = Category(name="Cat;One", description="d", skills=(Skill(name="Sk|x"),))
+    codes = {f.code for f in validate_library(KnowledgeLibrary(categories=(cat,)))}
+    assert codes == {"CATEGORY_NAME_DELIMITER", "SKILL_NAME_DELIMITER"}
+
+
+def test_category_lookup_first_match_wins_on_duplicate_names():
+    first = Category(name="Twin", description="first", skills=(Skill(name="A"),))
+    second = Category(name=" Twin ", description="second", skills=(Skill(name="B"),))
+    lib = KnowledgeLibrary(categories=(first, second))
+    assert lib.category("Twin") is first
+    assert lib.category("  Twin\t") is first
+    assert lib.category("Missing") is None
+
+
+def test_category_lookup_map_is_not_part_of_equality():
+    lib = _simple_library(3, with_summary=False)
+    twin = KnowledgeLibrary(categories=lib.categories)
+    assert lib.category("Topic_1") is lib.categories[1]
+    assert lib == twin
+    assert repr(lib) == repr(twin)
+    assert serialize_library(lib) == serialize_library(twin)
+
+
 def test_validate_is_pure(fixture_library):
     assert validate_library(fixture_library) == validate_library(fixture_library)
 

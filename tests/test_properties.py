@@ -6,14 +6,21 @@ documents) while keeping every case reproducible.
 """
 
 import random
+import re
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sdsr.bench import format_selections, parse_response, Question
+from sdsr.bench import format_selections, parse_response, Question, score_responses
 from sdsr.corpus import section_document
 from sdsr.distractors import inject_interleaved
-from sdsr.engine import lexical_score
+from sdsr.engine import (
+    LexicalBackend,
+    QuestionSelection,
+    Selection,
+    lexical_score,
+    select_tier2,
+)
 from sdsr.guidance import build_summary, strip_summary
 from sdsr.library import (
     Category,
@@ -21,9 +28,11 @@ from sdsr.library import (
     KnowledgeLibrary,
     Skill,
     deserialize_library,
+    has_errors,
     serialize_library,
     surface_similarity,
     tokenize,
+    validate_library,
 )
 from sdsr.prefix import estimate_tokens
 
@@ -169,3 +178,127 @@ def test_lexical_score_bounded_and_deterministic(query, name, hint):
     assert score == lexical_score(query, entry)
     if not tokenize(query) & (tokenize(name) | tokenize(hint)):
         assert score == 0.0
+
+
+# --- tier 2 against a brute-force pair search ---------------------------
+#
+# A five-word vocabulary in mixed case and punctuation keeps scores
+# colliding, so tie-breaks are exercised as often as score order.
+
+_TIE_WORDS = ("alpha", "Beta", "GAMMA", "delta-alpha", "beta_2", "x1")
+
+
+def _oracle_tokens(text):
+    return set(re.findall(r"[0-9a-z]+", text.lower()))
+
+
+def _oracle_overlap(query, name, text):
+    """(2|Q&N| + |Q&(H-N)|) / (2|Q|N| + |(H-N)-Q|), written out."""
+    q, n = _oracle_tokens(query), _oracle_tokens(name)
+    h = _oracle_tokens(text) - n
+    numerator = 2 * len(q & n) + len(q & h)
+    denominator = 2 * len(q | n) + len(h - q)
+    return numerator / denominator if denominator else 0.0
+
+
+def _oracle_select(question_id, query, libraries):
+    pairs = [
+        (_oracle_overlap(query, cat.name, cat.description)
+         + _oracle_overlap(query, skill.name, skill.description),
+         cat.name.strip(), skill.name.strip())
+        for lib in libraries for cat in lib.categories for skill in cat.skills
+    ]
+    if not pairs:
+        return None
+    def best_first(pair):
+        return -pair[0], pair[1], pair[2]
+
+    primary = min(pairs, key=best_first)
+    runner_up = min((p for p in pairs if p[1] != primary[1]), key=best_first, default=None)
+    secondary = None
+    if runner_up is not None and runner_up[0] > 0.0:
+        secondary = Selection(category=runner_up[1], skill=runner_up[2])
+    return QuestionSelection(
+        question_id=question_id,
+        primary=Selection(category=primary[1], skill=primary[2]),
+        secondary=secondary)
+
+
+_tie_text = st.lists(st.sampled_from(_TIE_WORDS), max_size=4).map(" ".join)
+_tie_name = st.tuples(
+    st.lists(st.sampled_from(_TIE_WORDS), min_size=1, max_size=2).map("_".join),
+    st.sampled_from(["", " "]),
+).map(lambda parts: parts[0] + parts[1])
+_tie_skill = st.builds(Skill, name=_tie_name, description=_tie_text)
+_tie_category = st.builds(
+    Category,
+    name=_tie_name,
+    description=_tie_text,  # may be empty
+    skills=st.lists(_tie_skill, max_size=3).map(tuple),  # may be skill-less
+    distractor_tier=st.sampled_from([None, "low", "high"]),
+)
+_tie_library = st.lists(_tie_category, max_size=5).map(
+    lambda cats: KnowledgeLibrary(categories=tuple(cats)))
+
+
+@settings(max_examples=CASES * 2, deadline=None)
+@given(libraries=st.lists(_tie_library, min_size=1, max_size=3),
+       queries=st.lists(_tie_text, min_size=1, max_size=6))
+def test_tier2_select_matches_brute_force_pair_search(libraries, queries):
+    questions = [(qid, text) for qid, text in enumerate(queries, start=1)]
+    selection = LexicalBackend().select(questions, libraries)
+    expected = tuple(
+        sel for sel in (_oracle_select(qid, text, libraries) for qid, text in questions)
+        if sel is not None)
+    assert selection.selections == expected
+
+
+# --- validated libraries survive the response grammar -------------------
+
+_safe_name = st.lists(
+    st.sampled_from(["alpha", "Beta", "gamma", "Q01:", "x 2", "_", "&", "é", "中", "\tdelta ",
+                     " omega"]),
+    min_size=1, max_size=4).map("".join)
+# Now and then a name carries a character the response grammar splits on.
+_grammar_name = st.builds(
+    lambda head, middle, tail: head + middle + tail,
+    _safe_name,
+    st.sampled_from([""] * 60 + ["|", ";", "\n", "\r", "\x85", "\u2028", "\x0b", "\x1e"]),
+    _safe_name,
+)
+_grammar_library = st.lists(
+    st.builds(
+        Category,
+        name=_grammar_name,
+        description=st.sampled_from(["alpha beta", "gamma | delta; x", "Q01: alpha"]),
+        skills=st.lists(
+            st.builds(Skill, name=_grammar_name, description=_tie_text),
+            min_size=1, max_size=3).map(tuple),
+    ),
+    max_size=4,
+).map(lambda cats: KnowledgeLibrary(categories=tuple(cats)))
+
+
+@settings(max_examples=CASES * 2, deadline=None)
+@given(lib=_grammar_library,
+       queries=st.lists(st.sampled_from(["alpha", "gamma delta", "Beta x", ""]),
+                        min_size=1, max_size=4))
+def test_validated_library_round_trips_through_the_response_grammar(lib, queries):
+    if has_errors(validate_library(lib)):
+        return
+    questions = [(qid, text) for qid, text in enumerate(queries, start=1)]
+    selection = select_tier2(questions, [lib], LexicalBackend())
+    chosen = {sel.question_id: sel for sel in selection.selections}
+    key = [
+        Question(id=qid, text=text,
+                 primary_target=chosen[qid].primary.category if qid in chosen else "-",
+                 secondary_target=(chosen[qid].secondary.category
+                                   if qid in chosen and chosen[qid].secondary else None))
+        for qid, text in questions
+    ]
+    parsed, findings = parse_response(format_selections(selection), key)
+    assert findings == []
+    assert parsed.selections == selection.selections
+    report = score_responses(parsed, key)
+    assert report == score_responses(selection, key)
+    assert report.primary_hits == len(chosen)

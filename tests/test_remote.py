@@ -84,6 +84,30 @@ class TestChat:
             backend.chat([{"role": "user", "content": "x"}])
         assert len(transport.calls) == 1
 
+    def test_socket_error_from_transport_is_retried_then_a_transport_error(self):
+        calls = []
+
+        def resetting_transport(url, payload, headers, timeout):
+            calls.append(url)
+            raise ConnectionResetError(104, "Connection reset by peer")
+
+        backend = RemoteBackend(make_config(max_retries=2), transport=resetting_transport)
+        with pytest.raises(TransportError, match="ConnectionResetError"):
+            backend.chat([{"role": "user", "content": "x"}])
+        assert len(calls) == 2
+
+    def test_socket_error_then_success_returns_content(self):
+        responses = [ConnectionResetError("reset"), (200, chat_body("recovered"))]
+
+        def flaky_transport(url, payload, headers, timeout):
+            outcome = responses.pop(0)
+            if isinstance(outcome, Exception):
+                raise outcome
+            return outcome
+
+        backend = RemoteBackend(make_config(max_retries=2), transport=flaky_transport)
+        assert backend.chat([{"role": "user", "content": "x"}]) == "recovered"
+
     def test_missing_content_path_is_a_transport_error(self):
         transport = RecordingTransport([(200, {"unexpected": "shape"})])
         backend = RemoteBackend(make_config(), transport=transport)
