@@ -204,8 +204,11 @@ def _cmd_route(args) -> CommandOutcome:
 def _cmd_select(args) -> CommandOutcome:
     config = _load_config(args.config)
     backend = _make_backend(args.backend, config)
-    libraries = [_load_library(p, args.body_key) for p in args.libs.split(",")]
+    paths = args.libs.split(",")
+    libraries = [_load_library(p, args.body_key) for p in paths]
     selection = engine.select_tier2(args.query, libraries, backend)
+    if args.complement_pass and len(libraries) > 1:
+        print(f"WARNING --complement-pass resolves complements in {paths[0]} only", file=sys.stderr)
     if args.complement_pass:
         selection = engine.apply_complement_pass(selection, libraries[0])
     for flag in selection.flags:
@@ -386,7 +389,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--body-key", default=None)
     p.add_argument("--backend", choices=("lexical", "remote"), default="lexical")
     p.add_argument("--complement-pass", action="store_true",
-                   help="derive secondaries from complement fields")
+                   help="derive secondaries from the first library's complement fields")
     p.set_defaults(func=_cmd_select)
 
     p = sub.add_parser("bench", help="run guidance conditions over a question set")

@@ -27,10 +27,10 @@ base = 2*|N| + |T'|.  Since |union(Q, N)| = |N| + |Q| - |Q & N| and
 so scoring a compiled entry takes two set intersections, and yields
 the same integer numerator and denominator, hence the same float.
 
-Per-call cost of the lexical backend: every query is tokenized once
-per call, and every category, skill and index-entry text once per
-call, however many questions it is scored against.  Nothing is cached
-across calls.
+Per-call cost of the lexical backend: each query, category, skill and
+index-entry text is tokenized once per call, however many questions it
+is scored against, and each question's top two pairs come from two
+linear ``min`` passes, not a sort.  Nothing is cached across calls.
 """
 
 from __future__ import annotations
@@ -214,11 +214,9 @@ class LexicalBackend:
         query_tokens = tokenize(query)
         scores = []
         for file_id, block in summaries:
-            best = 0.0
-            for entry in block.category_index:
-                best = max(best, _overlap(
-                    query_tokens, _compile_text(entry.name, entry.routing_hint)))
-            scores.append((file_id, best))
+            scores.append((file_id, max((
+                _overlap(query_tokens, _compile_text(entry.name, entry.routing_hint))
+                for entry in block.category_index), default=0.0)))
         return scores
 
     def select(
@@ -229,8 +227,8 @@ class LexicalBackend:
         artifact: bytes | None = None,
     ) -> SelectionSet:
         queries = [tokenize(text) for _, text in questions]
-        # One list of (-score, category, skill, score) pairs per question.
-        ranked: list[list[tuple[float, str, str, float]]] = [[] for _ in queries]
+        # One list of (-score, category, skill) pairs per question.
+        ranked: list[list[tuple[float, str, str]]] = [[] for _ in queries]
         for lib in libraries:
             for cat in lib.categories:
                 cat_entry = _compile_text(cat.name, cat.description)
@@ -241,22 +239,19 @@ class LexicalBackend:
                     skill_name = skill.name.strip()
                     for pairs, query_tokens, cat_component in zip(ranked, queries, cat_scores):
                         score = cat_component + _overlap(query_tokens, skill_entry)
-                        pairs.append((-score, cat_name, skill_name, score))
+                        pairs.append((-score, cat_name, skill_name))
         selections = []
         for (question_id, _), pairs in zip(questions, ranked):
             if not pairs:
                 continue
-            pairs.sort()
-            _, best_category, best_skill, _ = pairs[0]
-            primary = Selection(category=best_category, skill=best_skill)
-            secondary = None
-            for _, category, skill, score in pairs[1:]:
-                if category != best_category:
-                    if score > 0.0:
-                        secondary = Selection(category=category, skill=skill)
-                    break
+            # min() is the first pair in sorted order; the secondary is the first from
+            # another category, kept only when its score is above zero.
+            _, category, skill = min(pairs)
+            negated, other, other_skill = min(
+                (p for p in pairs if p[1] != category), default=(0.0, "", ""))
             selections.append(QuestionSelection(
-                question_id=question_id, primary=primary, secondary=secondary))
+                question_id=question_id, primary=Selection(category=category, skill=skill),
+                secondary=Selection(category=other, skill=other_skill) if negated < 0.0 else None))
         return SelectionSet(selections=tuple(selections))
 
 
@@ -278,18 +273,14 @@ def route_tier1(req: RoutingRequest, backend: RouterBackend) -> RoutingResult:
     )
     tokens = sum(summary_token_estimate(block) for _, block in req.summaries)
     tokens += estimate_tokens(req.query)
+    eligible = [sf for sf in ranked if sf.score >= req.threshold]
     trace = [
         f"tier1 scan: {len(req.summaries)} files, ~{tokens} tokens",
-        f"pass 1: {sum(1 for sf in ranked if sf.score >= req.threshold)} file(s) "
-        f"at or above threshold {req.threshold}",
+        f"pass 1: {len(eligible)} file(s) at or above threshold {req.threshold}",
     ]
-    eligible = [sf for sf in ranked if sf.score >= req.threshold]
-    if eligible:
-        selected = tuple(eligible[:req.k_max])
-        expanded = False
-    else:
-        selected = tuple(ranked[:req.k_max])
-        expanded = True
+    expanded = not eligible
+    selected = tuple((eligible or ranked)[:req.k_max])
+    if expanded:
         trace.append(f"expand scope: no file met the threshold; returning top {len(selected)}")
     trace.append("selected: " + ", ".join(f"{sf.file_id}={sf.score:.4f}" for sf in selected))
     return RoutingResult(selected=selected, expanded_scope=expanded, trace=tuple(trace))

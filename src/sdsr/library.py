@@ -42,7 +42,7 @@ ABSTRACTION_LEVELS = frozenset({
 })
 DISTRACTOR_TIERS = frozenset({"high", "low"})
 
-_TOKEN_SPLIT = re.compile(r"[^0-9A-Za-z]+")
+_TOKEN = re.compile(r"[0-9a-z]+")  # after str.lower() no A-Z is left
 
 # Names end up in response lines ``Q<nn>: <category> | <skill> ; ...``,
 # which are split on these delimiters and on every line break that
@@ -53,7 +53,7 @@ _LINE_BREAKS = frozenset("\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029")
 
 def tokenize(text: str) -> frozenset[str]:
     """Lowercased alphanumeric token set of *text*."""
-    return frozenset(t for t in _TOKEN_SPLIT.split(text.lower()) if t)
+    return frozenset(_TOKEN.findall(text.lower()))
 
 
 @dataclass(frozen=True)
@@ -124,6 +124,11 @@ class SummaryBlock:
             "routing_roles",
             {role: tuple(names) for role, names in self.routing_roles.items()},
         )
+
+    @cached_property
+    def compact_length(self) -> int:
+        # Length of the compact JSON form, computed once; not a field, so == ignores it.
+        return len(json.dumps(summary_to_dict(self), ensure_ascii=False, separators=(",", ":")))
 
 
 @dataclass(frozen=True)

@@ -6,6 +6,7 @@ top-level object member by member with ``json.JSONDecoder.raw_decode``,
 stopping as soon as the summary value is complete; nothing past the
 summary is validated.  For a file whose summary ends at byte offset
 ``o`` read with block size ``b``, at most ``o + b`` bytes are ever read.
+The summary span's UTF-8 check and byte length come from one strict encode.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from typing import Iterator
 
 from .errors import IoFailure, MalformedFile, NoSummary, SummaryNotFirst
 from .library import SUMMARY_KEY, Finding, SEVERITY_WARNING, SummaryBlock, \
-    summary_block_from_dict, summary_to_dict
+    summary_block_from_dict
 
 DEFAULT_BLOCK_SIZE = 4096
 
@@ -34,9 +35,8 @@ def estimate_tokens(text: str) -> int:
 
 
 def summary_token_estimate(summary: SummaryBlock) -> int:
-    """Token estimate of a summary in its compact serialized form."""
-    payload = json.dumps(summary_to_dict(summary), ensure_ascii=False, separators=(",", ":"))
-    return estimate_tokens(payload)
+    """estimate_tokens of the summary's compact serialized form."""
+    return (summary.compact_length + 3) // 4
 
 
 @dataclass(frozen=True)
@@ -97,9 +97,6 @@ _DELIMITERS = frozenset(" \t\n\r,}")
 # A decode error this close to the end of the text may be a token cut
 # by a block edge; the longest such token is "-Infinity".
 _CUT_TOKEN_MAX = 9
-# The decoder maps bytes that are not UTF-8 to these lone surrogates, so
-# only the summary span is checked and bytes past it are never validated.
-_NOT_UTF8 = re.compile("[\udc80-\udcff]")
 
 
 class _BlockText:
@@ -214,12 +211,16 @@ def extract_summary(
             for index, (key, start) in enumerate(src.members(top, walk=True)):
                 if key == SUMMARY_KEY:
                     value, end = src.decode(start, walk=True)
-                    if _NOT_UTF8.search(src.text, start, end):
-                        raise src.error("summary value is not valid UTF-8")
+                    # Undecodable bytes became lone surrogates, which a strict encode rejects.
+                    try:
+                        span = src.text[start:end].encode("utf-8")
+                    except UnicodeEncodeError:
+                        raise src.error("summary value is not valid UTF-8") from None
+                    head = src.text[:start].encode("utf-8", "surrogateescape")
                     return PrefixReadResult(
                         summary=summary_block_from_dict(value),
                         bytes_read=src.bytes_read,
-                        summary_end_offset=len(src.text[:end].encode("utf-8", "surrogateescape")),
+                        summary_end_offset=len(head) + len(span),
                         warning=(f"summary block is key #{index + 1} of the file, "
                                  "not the first key" if index else None),
                     )

@@ -296,6 +296,27 @@ class TestRouteSelectBench:
         assert first["primary"]["category"] == "Adversarial_Systems_Thinking"
         assert first["secondary"]["category"] == "Strategic_Decision_Frameworks"
 
+    def test_complement_pass_over_several_libraries_warns(self, fixture_dir, capsys):
+        first, second = fixture_dir / "library_r1.json", fixture_dir / "library_r1_bare.json"
+        argv = ["--format", "json", "select", "--query", "map competitor weak points",
+                "--libs", f"{first},{second}"]
+        capsys.readouterr()
+        assert main(argv) == 0
+        plain_err = capsys.readouterr().err.splitlines()
+        assert main(argv + ["--complement-pass"]) == 0
+        captured = capsys.readouterr()
+        assert [line for line in captured.err.splitlines() if line not in plain_err] == [
+            f"WARNING --complement-pass resolves complements in {first} only"]
+        assert "WARNING" not in captured.out
+        assert json.loads(captured.out)["selections"]
+
+    def test_complement_pass_over_one_library_does_not_warn(self, fixture_dir, capsys):
+        capsys.readouterr()
+        code = main(["select", "--query", "map competitor weak points",
+                     "--libs", str(fixture_dir / "library_r1.json"), "--complement-pass"])
+        assert code == 0
+        assert "--complement-pass" not in capsys.readouterr().err
+
     def test_bench_sweep(self, fixture_dir, tmp_path):
         out_dir = tmp_path / "bench"
         outcome = run([

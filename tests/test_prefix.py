@@ -5,9 +5,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from sdsr import library
+from sdsr.engine import LexicalBackend, RoutingRequest, route_tier1
 from sdsr.errors import IoFailure, MalformedFile, NoSummary, SummaryNotFirst
 from sdsr.fixtures import build_fixture_library
-from sdsr.library import serialize_library, summary_block_from_dict
+from sdsr.library import serialize_library, summary_block_from_dict, summary_to_dict
 from sdsr.prefix import (
     estimate_tokens,
     extract_summary,
@@ -188,6 +190,21 @@ class TestExtractSummary:
         with pytest.raises(MalformedFile):
             extract_summary(path, block_size=block_size)
 
+    @pytest.mark.parametrize("block_size", [1, 4096])
+    def test_bytes_not_utf8_before_the_summary_keep_the_byte_offset(self, tmp_path, block_size):
+        # Lenient mode decodes the earlier value.  The offset counts raw bytes:
+        # 32 before the summary (three of them not UTF-8), then 82 of summary
+        # (e-acute 2, the CJK character 3, the emoji 4).
+        head = b'{"Body": "caf\xe9 \xff\xfe", "_summary": '
+        summary = ('{"category_index": [], "_llm_instructions": "caf\u00e9 \u4e2d \U0001f3b5", '
+                   '"routing_roles": {}}').encode("utf-8")
+        path = tmp_path / "latin1_body_first.json"
+        path.write_bytes(head + summary + b', "Tail": 1}')
+        result = extract_summary(path, block_size=block_size, strict=False)
+        assert result.summary.llm_instructions == "caf\u00e9 \u4e2d \U0001f3b5"
+        assert result.summary_end_offset == len(head) + len(summary) == 32 + 82
+        assert result.warning is not None
+
     @pytest.mark.parametrize("strict,content", [
         (True, '{"_summary": ' + "[" * 5000 + "]" * 5000 + "}"),
         (False, '{"Body": ' + '{"a": ' * 5000 + "1" + "}" * 5000 + ', "_summary": {}}'),
@@ -347,3 +364,35 @@ def test_read_registry_summaries_order_and_budget(tmp_path):
     assert [fid for fid, _ in results] == ["f0.json", "f1.json", "f2.json"]
     # 36-entry index blows a 10-token budget: one overrun finding per file
     assert [f.code for f in findings] == ["TOKEN_BUDGET_OVERRUN"] * 3
+
+
+class TestSummaryLengthCache:
+    def test_estimate_leaves_equality_repr_and_wire_format_alone(self):
+        summary = build_fixture_library().summary
+        twin = build_fixture_library().summary
+        before = (repr(summary), summary_to_dict(summary))
+        payload = json.dumps(summary_to_dict(summary), ensure_ascii=False, separators=(",", ":"))
+        assert summary_token_estimate(summary) == (len(payload) + 3) // 4
+        assert summary == twin
+        assert (repr(summary), summary_to_dict(summary)) == before
+        assert "compact_length" not in repr(summary)
+
+    def test_each_summary_is_serialized_once_per_scan_and_route(self, tmp_path, monkeypatch):
+        n = 4
+        for i in range(n):
+            (tmp_path / f"f{i}.json").write_text(
+                serialize_library(build_fixture_library()), encoding="utf-8")
+        calls = []
+
+        def counting(summary):
+            calls.append(summary)
+            return summary_to_dict(summary)
+
+        monkeypatch.setattr(library, "summary_to_dict", counting)
+        monkeypatch.setattr("sdsr.prefix.summary_to_dict", counting, raising=False)
+        results, findings = read_registry_summaries(scan_registry(tmp_path), token_budget=10)
+        route_tier1(RoutingRequest(query="map competitor weak points",
+                                   summaries=tuple((fid, r.summary) for fid, r in results)),
+                    LexicalBackend())
+        assert len(findings) == n
+        assert len(calls) == n

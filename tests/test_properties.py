@@ -8,6 +8,7 @@ documents) while keeping every case reproducible.
 import random
 import re
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -302,3 +303,25 @@ def test_validated_library_round_trips_through_the_response_grammar(lib, queries
     report = score_responses(parsed, key)
     assert report == score_responses(selection, key)
     assert report.primary_hits == len(chosen)
+
+
+def _split_tokenize(text):
+    """The tokenizer as first written: split on non-alphanumerics, drop empties."""
+    return frozenset(p for p in re.split(r"[^0-9A-Za-z]+", text.lower()) if p)
+
+
+@settings(max_examples=CASES * 4, deadline=None)
+@given(text=st.text())
+def test_tokenize_matches_the_split_oracle(text):
+    assert tokenize(text) == _split_tokenize(text)
+
+
+@pytest.mark.parametrize("text, expected", [
+    ("\u212a", {"k"}),                    # Kelvin sign lowercases to ASCII k
+    ("\u0130stanbul", {"i", "stanbul"}),  # lowercases to i + combining dot
+    ("\u03a3\u0391\u03a3", set()),        # final sigma, no ASCII at all
+    ("\uff11\uff12x3", {"x3"}),           # fullwidth digits are not [0-9]
+    ("", set()),
+], ids=["kelvin", "dotted-capital-i", "final-sigma", "fullwidth-digits", "empty"])
+def test_tokenize_unicode_examples(text, expected):
+    assert tokenize(text) == _split_tokenize(text) == expected
