@@ -152,10 +152,17 @@ def _cmd_expand(args) -> CommandOutcome:
     lib = _load_library(args.infile, args.body_key)
     spec_data = json.loads(_read_text(args.specs))
     if isinstance(spec_data, list):
-        matches = [s for s in spec_data if int(s.get("round_id", -1)) == args.round]
-        if not matches:
+        rounds: dict[int, dict] = {}
+        for entry in spec_data:
+            rounds.setdefault(distractors.round_id_from_dict(entry), entry)
+        if not rounds:
+            raise SdsrError("specs file holds no round")
+        if args.round is None:
+            held = ", ".join(map(str, sorted(rounds)))
+            raise ValueError(f"specs file holds rounds {held}; choose one with --round")
+        if args.round not in rounds:
             raise SdsrError(f"specs file has no round_id {args.round}")
-        cfg = distractors.round_config_from_dict(matches[0])
+        cfg = distractors.round_config_from_dict(rounds[args.round])
     else:
         cfg = distractors.round_config_from_dict(spec_data)
         if args.round is not None and cfg.round_id != args.round:

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import NameCollision, UnknownTarget
+from .errors import MalformedFile, NameCollision, UnknownTarget
 from .guidance import build_summary
 from .library import (
     Category,
@@ -101,9 +101,19 @@ def spec_to_dict(spec: DistractorSpec) -> dict:
     return out
 
 
+def round_id_from_dict(obj: object) -> int:
+    """The ``round_id`` of one round config; MalformedFile unless an integer."""
+    if not isinstance(obj, dict):
+        raise MalformedFile(f"a round config must be a JSON object, not {obj!r}")
+    round_id = obj.get("round_id")
+    if type(round_id) is not int:
+        raise MalformedFile(f"round_id must be an integer, not {round_id!r}")
+    return round_id
+
+
 def round_config_from_dict(obj: dict) -> RoundConfig:
     return RoundConfig(
-        round_id=int(obj["round_id"]),
+        round_id=round_id_from_dict(obj),
         distractors=tuple(spec_from_dict(s) for s in obj.get("distractors", [])),
         expected_categories=obj.get("expected_categories"),
         expected_skills=obj.get("expected_skills"),

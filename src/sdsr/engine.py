@@ -27,16 +27,24 @@ base = 2*|N| + |T'|.  Since |union(Q, N)| = |N| + |Q| - |Q & N| and
 so scoring a compiled entry takes two set intersections, and yields
 the same integer numerator and denominator, hence the same float.
 
-Per-call cost of the lexical backend: each query, category, skill and
-index-entry text is tokenized once per call, however many questions it
-is scored against, and each question's top two pairs come from two
-linear ``min`` passes, not a sort.  Nothing is cached across calls.
+Per-call cost of the lexical backend: the texts of a file's index
+(tier 1), or of a category and its skills (tier 2), are first joined
+with newlines, lowered once and searched for each query token as a
+substring, shortest token first.  On a miss every score in the block
+is 0.0, and the block is skipped without being tokenized.  Every other
+text is tokenized once per call, a skill is scored only for the
+questions that share one of its tokens, and each question keeps one
+best pair per category, from which two linear ``min`` passes pick the
+top two.  Nothing is cached across calls.  On English text, where stop
+words make nearly every block hit, the gate saves nothing and costs a
+join, one ``lower()`` and, as the shortest tokens are tried first,
+about one substring scan per block.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Protocol, Sequence, runtime_checkable
+from typing import Iterable, Protocol, Sequence, runtime_checkable
 
 from .errors import (
     AllSelectionsInvalid,
@@ -165,6 +173,21 @@ def _overlap(query_tokens: frozenset[str], entry: _Compiled) -> float:
     return (2 * shared_name + shared_text) / denominator
 
 
+def _shares_token(probes: Sequence[str], texts: Iterable[str]) -> bool:
+    """Whether some query token in ``probes`` occurs, as a substring, in the lowered texts.
+
+    Each token of a text is a run of its lowered form, and the newline
+    that joins the texts is no token character, so False means every
+    overlap with these texts is empty.  True may come from a
+    substring-only match, which exact scoring then sorts out.  Callers
+    order the probes shortest first: a short token is the likeliest
+    substring, so on English text a stop word such as ``a`` ends the
+    scan at once, where set order tried about a dozen tokens first.
+    """
+    joined = "\n".join(texts).lower()
+    return any(token in joined for token in probes)
+
+
 def weighted_overlap(
     query_tokens: frozenset[str],
     name_tokens: frozenset[str],
@@ -201,9 +224,10 @@ class LexicalBackend:
     pair from a different category becomes the secondary guess when it
     scores above zero.
 
-    Both walk their input once per call: each query is tokenized once,
-    and each index entry, category and skill is compiled once and then
-    scored against every question.
+    Both walk their input once per call and tokenize each query once.
+    A file, or a category with its skills, whose text holds no query
+    token even as a substring scores 0.0 without being tokenized; the
+    others are compiled once and scored as the module docstring says.
     """
 
     deterministic = True
@@ -212,11 +236,16 @@ class LexicalBackend:
         self, query: str, summaries: Sequence[tuple[str, SummaryBlock]]
     ) -> list[tuple[str, float]]:
         query_tokens = tokenize(query)
+        probes = sorted(query_tokens, key=len)
         scores = []
         for file_id, block in summaries:
-            scores.append((file_id, max((
-                _overlap(query_tokens, _compile_text(entry.name, entry.routing_hint))
-                for entry in block.category_index), default=0.0)))
+            entries = block.category_index
+            score = 0.0
+            if _shares_token(probes, (
+                    text for entry in entries for text in (entry.name, entry.routing_hint))):
+                score = max(_overlap(query_tokens, _compile_text(entry.name, entry.routing_hint))
+                            for entry in entries)
+            scores.append((file_id, score))
         return scores
 
     def select(
@@ -227,19 +256,36 @@ class LexicalBackend:
         artifact: bytes | None = None,
     ) -> SelectionSet:
         queries = [tokenize(text) for _, text in questions]
-        # One list of (-score, category, skill) pairs per question.
+        probes = sorted(frozenset().union(*queries), key=len)
+        # One (-score, category, skill) triple per question and category: the
+        # category's best pair, as only that one can become a primary or secondary.
         ranked: list[list[tuple[float, str, str]]] = [[] for _ in queries]
         for lib in libraries:
             for cat in lib.categories:
+                if not cat.skills:
+                    continue
+                cat_name = cat.name.strip()
+                # A skill that shares no token with a question scores the category score
+                # alone for it, so the least trimmed name stands for all such skills.
+                first_skill = min(skill.name.strip() for skill in cat.skills)
+                if not _shares_token(probes, (cat.name, cat.description, *(
+                        text for skill in cat.skills for text in (skill.name, skill.description)))):
+                    for pairs in ranked:
+                        pairs.append((-0.0, cat_name, first_skill))
+                    continue
                 cat_entry = _compile_text(cat.name, cat.description)
                 cat_scores = [_overlap(q, cat_entry) for q in queries]
-                cat_name = cat.name.strip()
+                best = [(-score, cat_name, first_skill) for score in cat_scores]
                 for skill in cat.skills:
                     skill_entry = _compile_text(skill.name, skill.description)
+                    skill_tokens = skill_entry[0] | skill_entry[1]
                     skill_name = skill.name.strip()
-                    for pairs, query_tokens, cat_component in zip(ranked, queries, cat_scores):
-                        score = cat_component + _overlap(query_tokens, skill_entry)
-                        pairs.append((-score, cat_name, skill_name))
+                    for i, query_tokens in enumerate(queries):
+                        if not query_tokens.isdisjoint(skill_tokens):
+                            score = cat_scores[i] + _overlap(query_tokens, skill_entry)
+                            best[i] = min(best[i], (-score, cat_name, skill_name))
+                for pairs, pair in zip(ranked, best):
+                    pairs.append(pair)
         selections = []
         for (question_id, _), pairs in zip(questions, ranked):
             if not pairs:

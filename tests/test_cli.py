@@ -175,6 +175,45 @@ class TestExpand:
         assert outcome.exit_code == 1
         capsys.readouterr()
 
+    def test_list_specs_without_round_is_a_usage_error_naming_the_rounds(
+            self, fixture_dir, tmp_path, capsys):
+        specs = tmp_path / "rounds.json"
+        specs.write_text(json.dumps([
+            json.loads((fixture_dir / f"round{n}_specs.json").read_text(encoding="utf-8"))
+            for n in (3, 2)]), encoding="utf-8")
+        capsys.readouterr()
+        outcome = run(["expand", "--in", str(fixture_dir / "library_r1.json"),
+                       "--specs", str(specs), "--out", str(tmp_path / "x.json")])
+        assert outcome.exit_code == 2
+        assert "rounds 2, 3" in capsys.readouterr().err
+        assert not (tmp_path / "x.json").exists()
+
+    @pytest.mark.parametrize("specs", [
+        [1],
+        [{"round_id": None, "distractors": []}],
+        [{"round_id": "2", "distractors": []}],
+        {"round_id": None, "distractors": []},
+    ], ids=["list-entry-not-object", "list-null-round", "list-string-round",
+            "object-null-round"])
+    def test_malformed_round_specs_exit_one(self, fixture_dir, tmp_path, capsys, specs):
+        path = tmp_path / "specs.json"
+        path.write_text(json.dumps(specs), encoding="utf-8")
+        outcome = run(["expand", "--in", str(fixture_dir / "library_r1.json"),
+                       "--specs", str(path), "--round", "2", "--out", str(tmp_path / "x.json")])
+        assert outcome.exit_code == 1
+        assert "ERROR MalformedFile" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("round_args", [[], ["--round", "2"]], ids=["no-round", "round-2"])
+    def test_empty_list_specs_is_a_data_error_with_or_without_round(
+            self, fixture_dir, tmp_path, capsys, round_args):
+        path = tmp_path / "specs.json"
+        path.write_text("[]", encoding="utf-8")
+        capsys.readouterr()
+        outcome = run(["expand", "--in", str(fixture_dir / "library_r1.json"),
+                       "--specs", str(path), *round_args, "--out", str(tmp_path / "x.json")])
+        assert outcome.exit_code == 1
+        assert "specs file holds no round" in capsys.readouterr().err
+
 
 class TestRouteSelectBench:
     def test_route_over_directory(self, fixture_dir, tmp_path):

@@ -2,6 +2,7 @@ import re
 
 import pytest
 
+from sdsr import engine
 from sdsr.distractors import expand_round
 from sdsr.engine import (
     LexicalBackend,
@@ -25,7 +26,7 @@ from sdsr.errors import (
 )
 from sdsr.fixtures import round2_config
 from sdsr.guidance import build_summary
-from sdsr.library import Category, CategoryIndexEntry, KnowledgeLibrary, Skill
+from sdsr.library import Category, CategoryIndexEntry, KnowledgeLibrary, Skill, tokenize
 
 
 def oracle_tokens(text):
@@ -323,3 +324,49 @@ def test_skill_score_matches_oracle():
     skill = Skill(name="Zephyr_Gauge", description="measures zephyr drift")
     assert skill_score("zephyr drift", skill) == pytest.approx(
         oracle_overlap("zephyr drift", "Zephyr_Gauge", "measures zephyr drift"), abs=1e-12)
+
+
+class TestOnlyOverlappingTextIsTokenized:
+    """Text that shares no token with any query is never tokenized or scored."""
+
+    @pytest.fixture
+    def tokenized(self, monkeypatch):
+        seen = []
+
+        def counting_tokenize(text):
+            seen.append(text)
+            return tokenize(text)
+
+        monkeypatch.setattr(engine, "tokenize", counting_tokenize)
+        return seen
+
+    def test_route_tokenizes_the_query_and_the_one_overlapping_file(self, tokenized):
+        words = ("harbor", "lantern", "quartz", "meadow", "cobalt", "falcon")
+        summaries = summaries_from(
+            {f"f{i}": tiny_library(str(i), word) for i, word in enumerate(words)})
+        scores = dict(LexicalBackend().route("lantern wisdom", summaries))
+        hit = dict(summaries)["f1"]
+        assert tokenized == ["lantern wisdom"] + [
+            text for entry in hit.category_index for text in (entry.name, entry.routing_hint)]
+        assert scores["f1"] > 0.0
+        assert [fid for fid, score in scores.items() if score == 0.0] == [
+            "f0", "f2", "f3", "f4", "f5"]
+
+    def test_select_compiles_only_the_overlapping_category(self, tokenized):
+        lib = KnowledgeLibrary(categories=(
+            Category(name="Harbor_Area", description="ships and docks",
+                     skills=(Skill(name="Knot_Tier", description="ties knots"),
+                             Skill(name="Dock_Master", description="assigns berths"))),
+            Category(name="Lantern_Area", description="light at night",
+                     skills=(Skill(name="Wick_Trimmer", description="trims wicks"),
+                             Skill(name="Oil_Filler", description="fills oil"))),
+            Category(name="Quartz_Area", description="crystal growth",
+                     skills=(Skill(name="Gem_Cutter", description="cuts gems"),)),
+        ))
+        result = LexicalBackend().select([(1, "trim wick"), (2, "lantern oil")], [lib])
+        assert tokenized == ["trim wick", "lantern oil", "Lantern_Area", "light at night",
+                             "Wick_Trimmer", "trims wicks", "Oil_Filler", "fills oil"]
+        assert result.selections == (
+            QuestionSelection(question_id=1, primary=Selection("Lantern_Area", "Wick_Trimmer")),
+            QuestionSelection(question_id=2, primary=Selection("Lantern_Area", "Oil_Filler")),
+        )

@@ -28,6 +28,7 @@ from sdsr.library import (
     CategoryIndexEntry,
     KnowledgeLibrary,
     Skill,
+    SummaryBlock,
     deserialize_library,
     has_errors,
     serialize_library,
@@ -246,6 +247,80 @@ _tie_library = st.lists(_tie_category, max_size=5).map(
 @given(libraries=st.lists(_tie_library, min_size=1, max_size=3),
        queries=st.lists(_tie_text, min_size=1, max_size=6))
 def test_tier2_select_matches_brute_force_pair_search(libraries, queries):
+    questions = [(qid, text) for qid, text in enumerate(queries, start=1)]
+    selection = LexicalBackend().select(questions, libraries)
+    expected = tuple(
+        sel for sel in (_oracle_select(qid, text, libraries) for qid, text in questions)
+        if sel is not None)
+    assert selection.selections == expected
+
+
+# --- tier 1 against a per-file brute-force max -----------------------------
+#
+# Pieces concatenate with or without a separator, so texts hold tokens
+# that only contain a query token as a substring (alpha/alphabet, x1/x12),
+# and characters whose lowercase is ASCII (Kelvin sign to k, dotted
+# capital I to i) or holds no token at all (final sigma, fullwidth digits).
+
+_ROUTE_PIECES = ("alpha", "alphabet", "x1", "x12", "k", "\u212a", "i", "\u0130stanbul",
+                 "\u03a3\u0391\u03a3", "\uff11", "1", " ", "_", "-")
+_route_text = st.lists(st.sampled_from(_ROUTE_PIECES), max_size=6).map("".join)
+_route_block = st.builds(
+    SummaryBlock,
+    category_index=st.lists(  # may be empty
+        st.builds(CategoryIndexEntry, name=_route_text, skill_count=st.just(1),
+                  routing_hint=_route_text),
+        max_size=3).map(tuple),
+)
+
+
+@settings(max_examples=CASES * 4, deadline=None)
+@given(query=_route_text, blocks=st.lists(_route_block, min_size=1, max_size=5))
+def test_tier1_route_matches_brute_force_max_per_file(query, blocks):
+    summaries = [(f"f{i}", block) for i, block in enumerate(blocks)]
+    expected = [
+        (file_id, max((_oracle_overlap(query, entry.name, entry.routing_hint)
+                       for entry in block.category_index), default=0.0))
+        for file_id, block in summaries
+    ]
+    assert LexicalBackend().route(query, summaries) == expected
+
+
+# --- tier 2 against the brute-force pair search, sparse vocabulary -----------
+#
+# Each category draws all its text from one pool.  Pool 0 shares tokens
+# with the queries, pool 1 only substrings, pool 2 nothing at all, so whole
+# categories miss every question; pool 3 matches query "k" only after
+# lowercasing.  Small pools repeat trimmed names across libraries and give
+# one category several zero-overlap skills.
+
+_SPARSE_POOLS = (("alpha", "Beta", "gamma"), ("alphabet", "x12", "betamax"),
+                 ("omega", "zeta", "psi"), ("\u212a", "\u0130", "x\uff11"))
+_sparse_query = st.lists(st.sampled_from(("alpha", "Beta", "x1", "k", "gamma")),
+                         max_size=3).map(" ".join)
+
+
+def _sparse_category(pool):
+    text = st.lists(st.sampled_from(pool), max_size=3).map(" ".join)
+    name = st.tuples(
+        st.lists(st.sampled_from(pool), min_size=1, max_size=2).map("_".join),
+        st.sampled_from(["", " "]),
+    ).map("".join)
+    return st.builds(
+        Category, name=name, description=text,
+        skills=st.lists(st.builds(Skill, name=name, description=text),
+                        max_size=4).map(tuple))  # may be skill-less
+
+
+_sparse_library = st.lists(
+    st.one_of([_sparse_category(pool) for pool in _SPARSE_POOLS]), max_size=5,
+).map(lambda cats: KnowledgeLibrary(categories=tuple(cats)))
+
+
+@settings(max_examples=CASES * 2, deadline=None)
+@given(libraries=st.lists(_sparse_library, min_size=1, max_size=3),
+       queries=st.lists(_sparse_query, min_size=1, max_size=6))
+def test_tier2_select_matches_brute_force_on_a_sparse_vocabulary(libraries, queries):
     questions = [(qid, text) for qid, text in enumerate(queries, start=1)]
     selection = LexicalBackend().select(questions, libraries)
     expected = tuple(
