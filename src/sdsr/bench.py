@@ -31,6 +31,7 @@ from .engine import (
     select_tier2,
 )
 from .library import Finding, SEVERITY_WARNING, deserialize_library
+from .wire import decode
 
 # Category-name fragments this short are too generic to count as leaks.
 _LINT_MIN_TOKEN = 4
@@ -99,31 +100,17 @@ def lint_questions(questions: Sequence[Question]) -> list[Finding]:
     return findings
 
 
-def questions_from_json(text: str | bytes) -> list[Question]:
-    """Parse a question set or answer key.
-
-    Raises MalformedFile when an entry is not an object, lacks ``id``,
-    ``text`` or ``primary_target``, or repeats an earlier id: a repeated
-    key entry would score one answer twice.
-    """
-    questions: list[Question] = []
-    for n, item in enumerate(json.loads(text)):
-        if not isinstance(item, dict):
-            raise MalformedFile(f"question entry {n} is not an object")
-        missing = [name for name in ("id", "text", "primary_target") if name not in item]
-        if missing:
-            raise MalformedFile(f"question entry {n} lacks {', '.join(missing)}")
-        questions.append(Question(
-            id=int(item["id"]),
-            text=str(item["text"]),
-            primary_target=str(item["primary_target"]),
-            secondary_target=(None if item.get("secondary_target") is None
-                              else str(item["secondary_target"])),
-        ))
+def decode_questions(obj: object) -> list[Question]:
+    """Decode a question set or answer key; MalformedFile on a repeated id, which scores twice."""
+    questions = list(decode(tuple[Question, ...], obj))
     repeated = sorted(qid for qid, count in Counter(q.id for q in questions).items() if count > 1)
     if repeated:
         raise MalformedFile(f"duplicate question ids: {repeated}")
     return questions
+
+
+def questions_from_json(text: str | bytes) -> list[Question]:
+    return decode_questions(json.loads(text))
 
 
 def questions_to_json(questions: Sequence[Question]) -> str:
@@ -262,28 +249,6 @@ def selection_set_to_dict(sel: SelectionSet) -> dict:
         ],
         "flags": list(sel.flags),
     }
-
-
-def selection_set_from_obj(obj: object) -> SelectionSet:
-    if isinstance(obj, dict):
-        items = obj.get("selections", [])
-        flags = tuple(str(f) for f in obj.get("flags", []))
-    elif isinstance(obj, list):
-        items, flags = obj, ()
-    else:
-        raise SdsrError("selection data must be a JSON object or list")
-    selections = []
-    for item in items:
-        secondary = item.get("secondary")
-        selections.append(QuestionSelection(
-            question_id=int(item["question_id"]),
-            primary=Selection(
-                category=str(item["primary"]["category"]),
-                skill=str(item["primary"]["skill"])),
-            secondary=(None if secondary is None else Selection(
-                category=str(secondary["category"]), skill=str(secondary["skill"]))),
-        ))
-    return SelectionSet(selections=tuple(selections), flags=flags)
 
 
 def run_benchmark(

@@ -15,15 +15,16 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from . import bench, corpus, distractors, engine, guidance, prefix
-from .errors import IoFailure, SdsrError, TransportError
+from .errors import IoFailure, MalformedFile, SdsrError, TransportError
 from .library import (
     Finding,
     SEVERITY_ERROR,
-    deserialize_library,
+    decode_library,
     has_errors,
     serialize_library,
     validate_library,
 )
+from .wire import decode
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1
@@ -44,6 +45,13 @@ def _read_text(path: str) -> str:
         raise IoFailure(f"cannot read {path}: {exc}") from exc
 
 
+def _load_json(path: str) -> object:
+    try:
+        return json.loads(_read_text(path))
+    except json.JSONDecodeError as exc:
+        raise MalformedFile(f"{path}: invalid JSON: {exc}") from None
+
+
 def _write_text(path: str | Path, text: str) -> None:
     try:
         Path(path).write_text(text, encoding="utf-8")
@@ -52,34 +60,29 @@ def _write_text(path: str | Path, text: str) -> None:
 
 
 def _load_library(path: str, body_key: str | None = None):
-    return deserialize_library(_read_text(path), body_key=body_key)
+    return decode_library(_load_json(path), body_key)
 
 
 def _load_config(path: str | None) -> dict:
-    if not path:
-        return {}
-    data = json.loads(_read_text(path))
-    if not isinstance(data, dict):
-        raise SdsrError("config file must hold a JSON object")
-    return data
+    return decode(dict[str, object], _load_json(path)) if path else {}
 
 
 def _load_prompts(path: str | None) -> guidance.PromptConfig:
     if not path:
         from .fixtures import fixture_prompt_config
         return fixture_prompt_config()
-    return guidance.prompt_config_from_dict(json.loads(_read_text(path)))
+    return decode(guidance.PromptConfig, _load_json(path))
 
 
 def _make_backend(name: str, config: dict):
     if name == "lexical":
         return engine.LexicalBackend()
     if name == "remote":
-        from .remote import RemoteBackend, remote_config_from_dict
+        from .remote import RemoteBackend, RemoteConfig
         remote_cfg = config.get("remote")
         if not remote_cfg:
             raise SdsrError("remote backend requires a config file with a 'remote' section")
-        return RemoteBackend(remote_config_from_dict(remote_cfg))
+        return RemoteBackend(decode(RemoteConfig, remote_cfg, "remote"))
     raise SdsrError(f"unknown backend {name!r}")
 
 
@@ -150,11 +153,10 @@ def _cmd_condition(args) -> CommandOutcome:
 
 def _cmd_expand(args) -> CommandOutcome:
     lib = _load_library(args.infile, args.body_key)
-    spec_data = json.loads(_read_text(args.specs))
+    spec_data = _load_json(args.specs)
     if isinstance(spec_data, list):
-        rounds: dict[int, dict] = {}
-        for entry in spec_data:
-            rounds.setdefault(distractors.round_id_from_dict(entry), entry)
+        configs = decode(tuple[distractors.RoundConfig, ...], spec_data)
+        rounds = {cfg.round_id: cfg for cfg in reversed(configs)}  # the first of each id wins
         if not rounds:
             raise SdsrError("specs file holds no round")
         if args.round is None:
@@ -162,9 +164,9 @@ def _cmd_expand(args) -> CommandOutcome:
             raise ValueError(f"specs file holds rounds {held}; choose one with --round")
         if args.round not in rounds:
             raise SdsrError(f"specs file has no round_id {args.round}")
-        cfg = distractors.round_config_from_dict(rounds[args.round])
+        cfg = rounds[args.round]
     else:
-        cfg = distractors.round_config_from_dict(spec_data)
+        cfg = decode(distractors.RoundConfig, spec_data)
         if args.round is not None and cfg.round_id != args.round:
             raise SdsrError(
                 f"specs file is round {cfg.round_id}, but --round {args.round} was given")
@@ -229,7 +231,7 @@ def _cmd_bench(args) -> CommandOutcome:
     config = _load_config(args.config)
     backend = _make_backend(args.backend, config)
     lib = _load_library(args.lib, args.body_key)
-    questions = bench.questions_from_json(_read_text(args.questions))
+    questions = bench.decode_questions(_load_json(args.questions))
     _print_findings_stderr(bench.lint_questions(questions))
     prompts = _load_prompts(args.prompts)
     conditions = [
@@ -259,11 +261,13 @@ def _cmd_bench(args) -> CommandOutcome:
 
 
 def _cmd_score(args) -> CommandOutcome:
-    key = bench.questions_from_json(_read_text(args.key))
+    key = bench.decode_questions(_load_json(args.key))
     raw = _read_text(args.selections)
-    stripped = raw.lstrip()
-    if stripped.startswith("{") or stripped.startswith("["):
-        selection = bench.selection_set_from_obj(json.loads(raw))
+    if raw.lstrip().startswith(("{", "[")):
+        data = _load_json(args.selections)
+        if type(data) is list:  # the selections alone, without flags
+            data = {"selections": data}
+        selection = decode(engine.SelectionSet, data)
     else:
         selection, findings = bench.parse_response(raw, key)
         _print_findings_stderr(findings)
@@ -290,19 +294,12 @@ def _cmd_score(args) -> CommandOutcome:
 
 def _cmd_structure(args) -> CommandOutcome:
     text = _read_text(args.infile)
-    rules = corpus.rules_from_json(_read_text(args.rules))
+    rules = decode(tuple[corpus.SectionRule, ...], _load_json(args.rules))
     doc = corpus.section_document(text, rules, doc_id=args.doc_id)
     summary = None
     if args.digests or args.refs:
-        digests = json.loads(_read_text(args.digests)) if args.digests else {}
-        refs = []
-        if args.refs:
-            refs = [
-                corpus.CrossReference(
-                    from_section=str(r["from_section"]), to_section=str(r["to_section"]),
-                    locator=str(r.get("locator", "")), trigger=str(r.get("trigger", "")))
-                for r in json.loads(_read_text(args.refs))
-            ]
+        digests = decode(dict[str, str], _load_json(args.digests)) if args.digests else {}
+        refs = decode(tuple[corpus.CrossReference, ...], _load_json(args.refs)) if args.refs else ()
         summary, findings = corpus.build_doc_summary(doc, digests, refs, budget=args.budget)
         _print_findings_stderr(findings)
     _write_text(args.outfile, json.dumps(
@@ -316,10 +313,10 @@ def _cmd_structure(args) -> CommandOutcome:
 
 
 def _cmd_coload(args) -> CommandOutcome:
-    data = json.loads(_read_text(args.infile))
-    doc, summary = corpus.document_from_dict(data)
-    if summary is None:
-        summary = corpus.DocSummary(doc_id=doc.doc_id)
+    data = _load_json(args.infile)
+    doc = decode(corpus.SectionedDocument, data)
+    summary = (decode(corpus.DocSummary, data["summary"], "summary") if "summary" in data
+               else corpus.DocSummary(doc_id=doc.doc_id))
     section_ids = sorted(corpus.resolve_coload(args.query, summary, doc))
     payload = {"sections": section_ids}
     return CommandOutcome(EXIT_OK, _emit(args, payload, "\n".join(section_ids)))

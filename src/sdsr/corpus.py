@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import json
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Mapping, Sequence
 
 from .errors import DanglingReference, EmptyDocument
@@ -53,13 +53,19 @@ class SectionRule:
     role: str
     header_pattern: str
 
+    def __post_init__(self) -> None:
+        try:
+            re.compile(self.header_pattern, re.MULTILINE)
+        except re.error as exc:
+            raise ValueError(f"bad header_pattern {self.header_pattern!r}: {exc}") from None
+
 
 @dataclass(frozen=True)
 class CrossReference:
     from_section: str
     to_section: str
-    locator: str
-    trigger: str
+    locator: str = ""
+    trigger: str = ""
 
 
 @dataclass(frozen=True)
@@ -148,13 +154,7 @@ def build_doc_summary(
     )
     estimate = estimate_tokens(json.dumps(
         _summary_payload(summary), ensure_ascii=False, separators=(",", ":")))
-    summary = DocSummary(
-        doc_id=summary.doc_id,
-        claims_digest=summary.claims_digest,
-        reasoning_digest=summary.reasoning_digest,
-        cross_references=summary.cross_references,
-        token_estimate=estimate,
-    )
+    summary = replace(summary, token_estimate=estimate)
     findings: list[Finding] = []
     if estimate > budget:
         findings.append(Finding(
@@ -219,25 +219,6 @@ def summary_to_dict(summary: DocSummary) -> dict:
     return payload
 
 
-def summary_from_dict(obj: dict) -> DocSummary:
-    refs = tuple(
-        CrossReference(
-            from_section=str(r["from_section"]),
-            to_section=str(r["to_section"]),
-            locator=str(r.get("locator", "")),
-            trigger=str(r.get("trigger", "")),
-        )
-        for r in obj.get("cross_references", [])
-    )
-    return DocSummary(
-        doc_id=str(obj["doc_id"]),
-        claims_digest=str(obj.get("claims_digest", "")),
-        reasoning_digest=str(obj.get("reasoning_digest", "")),
-        cross_references=refs,
-        token_estimate=int(obj.get("token_estimate", 0)),
-    )
-
-
 def document_to_dict(doc: SectionedDocument, summary: DocSummary | None = None) -> dict:
     out: dict = {
         "doc_id": doc.doc_id,
@@ -254,26 +235,3 @@ def document_to_dict(doc: SectionedDocument, summary: DocSummary | None = None) 
     if summary is not None:
         out["summary"] = summary_to_dict(summary)
     return out
-
-
-def document_from_dict(obj: dict) -> tuple[SectionedDocument, DocSummary | None]:
-    sections = tuple(
-        Section(
-            section_id=str(s["section_id"]),
-            role=str(s["role"]),
-            text=str(s["text"]),
-            char_span=(int(s["char_span"][0]), int(s["char_span"][1])),
-        )
-        for s in obj.get("sections", [])
-    )
-    doc = SectionedDocument(doc_id=str(obj["doc_id"]), sections=sections)
-    summary = summary_from_dict(obj["summary"]) if "summary" in obj else None
-    return doc, summary
-
-
-def rules_from_json(text: str | bytes) -> list[SectionRule]:
-    data = json.loads(text)
-    return [
-        SectionRule(role=str(r["role"]), header_pattern=str(r["header_pattern"]))
-        for r in data
-    ]

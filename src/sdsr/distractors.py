@@ -11,8 +11,9 @@ whenever D <= R).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
-from .errors import MalformedFile, NameCollision, UnknownTarget
+from .errors import NameCollision, UnknownTarget
 from .guidance import build_summary
 from .library import (
     Category,
@@ -24,6 +25,7 @@ from .library import (
     Skill,
     surface_similarity,
 )
+from .wire import decode
 
 DEFAULT_THETA = 0.2
 
@@ -40,7 +42,7 @@ class DistractorSpec:
 
     tier: str
     name: str
-    description: str
+    description: str = ""
     skills: tuple[Skill, ...] = ()
     target: str | None = None
     theta: float = DEFAULT_THETA
@@ -76,22 +78,6 @@ class ExpansionResult:
     report: tuple[Finding, ...]
 
 
-def spec_from_dict(obj: dict) -> DistractorSpec:
-    skills = tuple(
-        Skill(name=str(s["skill_name"]), description=str(s.get("description", "")))
-        for s in obj.get("skills", [])
-    )
-    target = obj.get("target")
-    return DistractorSpec(
-        tier=str(obj["tier"]),
-        name=str(obj["name"]),
-        description=str(obj.get("description", "")),
-        skills=skills,
-        target=None if target is None else str(target),
-        theta=float(obj.get("theta", DEFAULT_THETA)),
-    )
-
-
 def spec_to_dict(spec: DistractorSpec) -> dict:
     out: dict = {"tier": spec.tier, "name": spec.name, "description": spec.description}
     if spec.target is not None:
@@ -101,23 +87,8 @@ def spec_to_dict(spec: DistractorSpec) -> dict:
     return out
 
 
-def round_id_from_dict(obj: object) -> int:
-    """The ``round_id`` of one round config; MalformedFile unless an integer."""
-    if not isinstance(obj, dict):
-        raise MalformedFile(f"a round config must be a JSON object, not {obj!r}")
-    round_id = obj.get("round_id")
-    if type(round_id) is not int:
-        raise MalformedFile(f"round_id must be an integer, not {round_id!r}")
-    return round_id
-
-
-def round_config_from_dict(obj: dict) -> RoundConfig:
-    return RoundConfig(
-        round_id=round_id_from_dict(obj),
-        distractors=tuple(spec_from_dict(s) for s in obj.get("distractors", [])),
-        expected_categories=obj.get("expected_categories"),
-        expected_skills=obj.get("expected_skills"),
-    )
+# perfbench/inputs.py imports this name.
+round_config_from_dict = partial(decode, RoundConfig)
 
 
 def round_config_to_dict(cfg: RoundConfig) -> dict:

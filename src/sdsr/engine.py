@@ -57,7 +57,6 @@ from .library import (
     Category,
     CategoryIndexEntry,
     KnowledgeLibrary,
-    Skill,
     SummaryBlock,
     tokenize,
 )
@@ -208,11 +207,6 @@ def lexical_score(query: str, entry: CategoryIndexEntry | Category) -> float:
     else:
         text = entry.description
     return _overlap(tokenize(query), _compile_text(entry.name, text))
-
-
-def skill_score(query: str, skill: Skill) -> float:
-    """Same weighting applied to a skill's name and description."""
-    return _overlap(tokenize(query), _compile_text(skill.name, skill.description))
 
 
 class LexicalBackend:

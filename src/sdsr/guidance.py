@@ -20,6 +20,7 @@ inputs produce byte-identical artifacts.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 from .errors import EmptyLibrary
 from .library import (
@@ -29,6 +30,7 @@ from .library import (
     SummaryBlock,
     serialize_library,
 )
+from .wire import decode
 
 CONDITIONS = ("A", "B", "C", "D")
 
@@ -71,7 +73,7 @@ class HighPriorityEntry:
 
     target: str
     confused_with: str
-    confusion_type: str
+    confusion_type: str = ""
 
     def __post_init__(self) -> None:
         if self.target.strip() == self.confused_with.strip():
@@ -98,21 +100,8 @@ class GuidanceCondition:
     system_prompt: str
 
 
-def prompt_config_from_dict(obj: dict) -> PromptConfig:
-    entries = tuple(
-        HighPriorityEntry(
-            target=str(e["target"]),
-            confused_with=str(e["confused_with"]),
-            confusion_type=str(e.get("confusion_type", "")),
-        )
-        for e in obj.get("high_priority", [])
-    )
-    return PromptConfig(
-        minimal_template=str(obj.get("minimal_template", DEFAULT_MINIMAL_TEMPLATE)),
-        extended_template=str(obj.get("extended_template", DEFAULT_EXTENDED_TEMPLATE)),
-        high_priority=entries,
-        priority_rule=str(obj.get("priority_rule", DEFAULT_PRIORITY_RULE)),
-    )
+# perfbench/inputs.py imports this name.
+prompt_config_from_dict = partial(decode, PromptConfig)
 
 
 def prompt_config_to_dict(config: PromptConfig) -> dict:

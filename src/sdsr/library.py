@@ -22,6 +22,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 from .errors import MalformedFile
+from .wire import decode
 
 SEVERITY_ERROR = "ERROR"
 SEVERITY_WARNING = "WARNING"
@@ -71,7 +72,7 @@ def has_errors(findings: list[Finding] | tuple[Finding, ...]) -> bool:
 
 @dataclass(frozen=True)
 class Skill:
-    name: str
+    name: str = field(metadata={"key": "skill_name"})
     description: str = ""
 
 
@@ -88,7 +89,7 @@ class Category:
     """
 
     name: str
-    description: str
+    description: str = field(default="", metadata={"key": "category_description"})
     skills: tuple[Skill, ...] = ()
     abstraction_level: str | None = None
     complement: str | None = None
@@ -105,8 +106,8 @@ class Category:
 @dataclass(frozen=True)
 class CategoryIndexEntry:
     name: str
-    skill_count: int
-    routing_hint: str
+    skill_count: int = 0
+    routing_hint: str = ""
 
 
 @dataclass(frozen=True)
@@ -114,7 +115,7 @@ class SummaryBlock:
     """Navigational metadata placed at a library file's first key."""
 
     category_index: tuple[CategoryIndexEntry, ...] = ()
-    llm_instructions: str = ""
+    llm_instructions: str = field(default="", metadata={"key": "_llm_instructions"})
     routing_roles: dict[str, tuple[str, ...]] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
@@ -362,85 +363,6 @@ def serialize_library(
     return json.dumps(library_to_dict(lib, body_key), ensure_ascii=False, indent=indent) + "\n"
 
 
-def skill_from_dict(obj: dict) -> Skill:
-    if not isinstance(obj, dict) or "skill_name" not in obj:
-        raise MalformedFile("skill entry must be an object with a skill_name")
-    return Skill(name=str(obj["skill_name"]), description=str(obj.get("description", "")))
-
-
-def category_from_dict(name: str, obj: dict) -> Category:
-    if not isinstance(obj, dict):
-        raise MalformedFile(f"category {name!r} must map to an object")
-    skills_raw = obj.get("skills", [])
-    if not isinstance(skills_raw, list):
-        raise MalformedFile(f"category {name!r}: skills must be a list")
-    level = obj.get("abstraction_level")
-    complement = obj.get("complement")
-    tier = obj.get("distractor_tier")
-    return Category(
-        name=name,
-        description=str(obj.get("category_description", "")),
-        skills=tuple(skill_from_dict(s) for s in skills_raw),
-        abstraction_level=None if level is None else str(level),
-        complement=None if complement is None else str(complement),
-        distractor_tier=None if tier is None else str(tier),
-    )
-
-
-def summary_block_from_dict(obj: object) -> SummaryBlock:
-    if not isinstance(obj, dict):
-        raise MalformedFile("summary block must be a JSON object")
-    index_raw = obj.get("category_index", [])
-    if not isinstance(index_raw, list):
-        raise MalformedFile("category_index must be a list")
-    entries = []
-    for item in index_raw:
-        if not isinstance(item, dict) or "name" not in item:
-            raise MalformedFile("category_index entries must be objects with a name")
-        entries.append(CategoryIndexEntry(
-            name=str(item["name"]),
-            skill_count=int(item.get("skill_count", 0)),
-            routing_hint=str(item.get("routing_hint", "")),
-        ))
-    roles_raw = obj.get("routing_roles", {})
-    if not isinstance(roles_raw, dict):
-        raise MalformedFile("routing_roles must be an object")
-    roles = {str(role): tuple(str(n) for n in names) for role, names in roles_raw.items()}
-    return SummaryBlock(
-        category_index=tuple(entries),
-        llm_instructions=str(obj.get("_llm_instructions", "")),
-        routing_roles=roles,
-    )
-
-
-def library_from_dict(obj: object, body_key: str | None = None) -> KnowledgeLibrary:
-    """Rebuild a library from a parsed top-level object.
-
-    When ``body_key`` is None the first key that does not start with an
-    underscore is taken as the body.  Key order of the body object
-    defines category order.
-    """
-    if not isinstance(obj, dict):
-        raise MalformedFile("library file must contain a top-level JSON object")
-    if body_key is None:
-        body_key = next((k for k in obj if not k.startswith("_")), None)
-        if body_key is None:
-            raise MalformedFile("no library body key found")
-    if body_key not in obj:
-        raise MalformedFile(f"missing body key {body_key!r}")
-    body = obj[body_key]
-    if not isinstance(body, dict):
-        raise MalformedFile(f"body key {body_key!r} must map to an object")
-    summary = None
-    if SUMMARY_KEY in obj:
-        summary = summary_block_from_dict(obj[SUMMARY_KEY])
-    provenance_raw = obj.get(PROVENANCE_KEY, {})
-    provenance = {str(k): str(v) for k, v in provenance_raw.items()} \
-        if isinstance(provenance_raw, dict) else {}
-    categories = tuple(category_from_dict(name, val) for name, val in body.items())
-    return KnowledgeLibrary(summary=summary, categories=categories, provenance=provenance)
-
-
 def deserialize_library(text: str | bytes, body_key: str | None = None) -> KnowledgeLibrary:
     if isinstance(text, bytes):
         text = text.decode("utf-8")
@@ -448,4 +370,29 @@ def deserialize_library(text: str | bytes, body_key: str | None = None) -> Knowl
         obj = json.loads(text)
     except json.JSONDecodeError as exc:
         raise MalformedFile(f"invalid JSON: {exc}") from exc
-    return library_from_dict(obj, body_key)
+    return decode_library(obj, body_key)
+
+
+def decode_library(obj: object, body_key: str | None = None) -> KnowledgeLibrary:
+    """Decode a parsed library file.
+
+    When ``body_key`` is None the first key that does not start with an
+    underscore is taken as the body, which maps each category name to
+    its entry; its key order defines category order.
+    """
+    obj = decode(dict[str, object], obj)
+    if body_key is None:
+        body_key = next((k for k in obj if not k.startswith("_")), None)
+    if body_key not in obj:
+        raise MalformedFile(f"missing body key {body_key!r}" if body_key is not None
+                            else "no library body key found")
+    body = decode(dict[str, object], obj[body_key], body_key)
+    return KnowledgeLibrary(
+        summary=decode(SummaryBlock, obj[SUMMARY_KEY], SUMMARY_KEY) if SUMMARY_KEY in obj else None,
+        # A category's name is its body key, not a member of its entry.
+        categories=tuple(
+            decode(Category, {**entry, "name": name} if type(entry) is dict else entry,
+                   body_key, name)
+            for name, entry in body.items()),
+        provenance=decode(dict[str, str], obj.get(PROVENANCE_KEY, {}), PROVENANCE_KEY),
+    )

@@ -19,8 +19,8 @@ from pathlib import Path
 from typing import Iterator
 
 from .errors import IoFailure, MalformedFile, NoSummary, SummaryNotFirst
-from .library import SUMMARY_KEY, Finding, SEVERITY_WARNING, SummaryBlock, \
-    summary_block_from_dict
+from .library import SUMMARY_KEY, Finding, SEVERITY_WARNING, SummaryBlock
+from .wire import decode
 
 DEFAULT_BLOCK_SIZE = 4096
 
@@ -218,7 +218,7 @@ def extract_summary(
                         raise src.error("summary value is not valid UTF-8") from None
                     head = src.text[:start].encode("utf-8", "surrogateescape")
                     return PrefixReadResult(
-                        summary=summary_block_from_dict(value),
+                        summary=decode(SummaryBlock, value, f"{path}: {SUMMARY_KEY}"),
                         bytes_read=src.bytes_read,
                         summary_end_offset=len(head) + len(span),
                         warning=(f"summary block is key #{index + 1} of the file, "

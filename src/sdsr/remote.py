@@ -42,28 +42,13 @@ class RemoteConfig:
     temperature: float = 0.0
     extra_headers: dict[str, str] = field(default_factory=dict)
     # Names of the request body fields, for APIs that deviate from the
-    # usual model/messages/temperature triple.
-    field_names: dict[str, str] = field(default_factory=lambda: {
-        "model": "model", "messages": "messages", "temperature": "temperature"})
-    response_content_path: tuple = ("choices", 0, "message", "content")
+    # usual model/messages/temperature triple; merged over the defaults.
+    field_names: dict[str, str] = field(default_factory=dict)
+    response_content_path: tuple[str | int, ...] = ("choices", 0, "message", "content")
 
-
-def remote_config_from_dict(obj: dict) -> RemoteConfig:
-    return RemoteConfig(
-        endpoint=str(obj["endpoint"]),
-        model=str(obj["model"]),
-        api_key_env=str(obj.get("api_key_env", DEFAULT_API_KEY_ENV)),
-        timeout=float(obj.get("timeout", 60.0)),
-        max_retries=int(obj.get("max_retries", 3)),
-        retry_backoff=float(obj.get("retry_backoff", 1.0)),
-        temperature=float(obj.get("temperature", 0.0)),
-        extra_headers=dict(obj.get("extra_headers", {})),
-        field_names={**{"model": "model", "messages": "messages",
-                        "temperature": "temperature"},
-                     **obj.get("field_names", {})},
-        response_content_path=tuple(obj.get(
-            "response_content_path", ("choices", 0, "message", "content"))),
-    )
+    def __post_init__(self) -> None:
+        defaults = {"model": "model", "messages": "messages", "temperature": "temperature"}
+        object.__setattr__(self, "field_names", defaults | self.field_names)
 
 
 def _requests_transport(url: str, payload: dict, headers: dict, timeout: float):

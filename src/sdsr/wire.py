@@ -1,0 +1,134 @@
+"""Decode parsed JSON into the package's frozen dataclasses.
+
+A field is required unless its class gives it a default, and a field
+whose wire key differs from its name says so in
+``field(metadata={"key": ...})``.  Unknown keys are ignored and nothing
+is coerced: ``"3"`` is no integer and ``true`` is no number.
+"""
+
+from __future__ import annotations
+
+import functools
+import types
+import typing
+from dataclasses import MISSING, fields, is_dataclass
+
+from .errors import MalformedFile
+
+_KINDS = {dict: "an object", list: "a list", str: "a string", int: "an integer",
+          float: "a number", bool: "a boolean", type(None): "null"}
+
+
+class _Invalid(Exception):
+    def __init__(self, problem: str) -> None:
+        self.problem = problem
+        self.path: list[str | int] = []  # innermost step first
+
+
+def decode(cls, obj: object, *root: str):
+    """Decode *obj*, a parsed JSON value, as *cls*.
+
+    *cls* is a dataclass or a type such as ``dict[str, str]``.  A shape
+    or type error, or a ``ValueError`` from ``__post_init__``, raises
+    MalformedFile naming the key path after the *root* keys of *obj*,
+    e.g. ``distractors[0].skills[0].skill_name``.
+    """
+    keep, convert = _decoder(cls)
+    try:
+        return obj if type(obj) in keep else convert(obj)
+    except _Invalid as exc:
+        where = ""
+        for step in [*root, *reversed(exc.path)]:
+            where += f"[{step}]" if type(step) is int else f".{step}" if where else step
+        raise MalformedFile(f"{where}: {exc.problem}" if where else exc.problem) from None
+
+
+def _fail(value, *expected: type):
+    wanted = " or ".join(_KINDS[t] for t in expected)
+    raise _Invalid(f"expected {wanted}, got {_KINDS.get(type(value), type(value).__name__)}")
+
+
+@functools.cache  # built once per type; a key path is built only on failure
+def _decoder(tp) -> tuple[tuple[type, ...], typing.Callable[[object], object]]:
+    # (the value types taken as parsed, the decoder for every other value)
+    if tp is float:
+        return (float,), lambda value: float(value) if type(value) is int else _fail(value, float)
+    if tp in (str, int):
+        return (tp,), lambda value: _fail(value, tp)
+    if tp is object:
+        return (), lambda value: value
+    if is_dataclass(tp):
+        return (), _record(tp)
+    origin, args = typing.get_origin(tp), typing.get_args(tp)
+    if origin in (typing.Union, types.UnionType):
+        members = [_decoder(a) for a in args if a is not type(None)]
+        keep = sum((k for k, _ in members), ()) + tuple(a for a in args if a is type(None))
+        if len(members) == 1:
+            return keep, members[0][1]
+        if all(k for k, _ in members):  # scalars only, e.g. str | int
+            return keep, lambda value: _fail(value, *keep)
+    if origin is tuple and (args[-1] is Ellipsis or len(set(args)) == 1):  # one item type
+        return (), _items(*_decoder(args[0]), None if args[-1] is Ellipsis else len(args))
+    if origin is dict and args[0] is str:
+        return (), _mapping(*_decoder(args[1]))
+    raise TypeError(f"no wire decoder for {tp!r}")
+
+
+def _items(keep, convert, count: int | None):
+    def decode_items(value):
+        if type(value) is not list:
+            _fail(value, list)
+        if count is not None and len(value) != count:
+            raise _Invalid(f"expected {count} items, got {len(value)}")
+        out = []
+        try:
+            for element in value:
+                out.append(element if type(element) in keep else convert(element))
+        except _Invalid as exc:
+            exc.path.append(len(out))
+            raise
+        return tuple(out)
+    return decode_items
+
+
+def _mapping(keep, convert):
+    def decode_values(value):
+        if type(value) is not dict:
+            _fail(value, dict)
+        out = {}
+        try:
+            for key, element in value.items():
+                out[key] = element if type(element) in keep else convert(element)
+        except _Invalid as exc:
+            exc.path.append(key)
+            raise
+        return out
+    return decode_values
+
+
+def _record(cls):
+    hints = typing.get_type_hints(cls)
+    plan = tuple(
+        (f.name, f.metadata.get("key", f.name), *_decoder(hints[f.name]),
+         f.default is MISSING and f.default_factory is MISSING)
+        for f in fields(cls) if f.init)
+
+    def decode_record(value):
+        if type(value) is not dict:
+            _fail(value, dict)
+        kwargs = {}
+        try:
+            for name, key, keep, convert, required in plan:
+                element = value.get(key, MISSING)
+                if element is not MISSING:
+                    kwargs[name] = element if type(element) in keep else convert(element)
+                elif required:
+                    raise _Invalid("missing required key")
+        except _Invalid as exc:
+            exc.path.append(key)
+            raise
+        try:
+            return cls(**kwargs)
+        except ValueError as exc:
+            raise _Invalid(str(exc)) from None
+    return decode_record

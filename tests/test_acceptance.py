@@ -42,12 +42,13 @@ from sdsr.library import (
     Category,
     KnowledgeLibrary,
     Skill,
+    SummaryBlock,
     deserialize_library,
     serialize_library,
-    summary_block_from_dict,
 )
 from sdsr.prefix import estimate_tokens, extract_summary, scan_registry, \
     summary_token_estimate
+from sdsr.wire import decode
 
 from _generators import (
     library_with_big_body,
@@ -112,7 +113,7 @@ def test_criterion_3_prefix_read_bound(tmp_path):
             value, end_char = decoder.raw_decode(text, start)
             end_offset = len(text[:end_char].encode("utf-8"))
 
-            assert result.summary == summary_block_from_dict(value)
+            assert result.summary == decode(SummaryBlock, value)
             assert result.summary_end_offset == end_offset
             assert result.bytes_read <= end_offset + 4096
     report(3, "50 x 1 MiB libraries: bytes_read <= offset + 4096, summary matches "

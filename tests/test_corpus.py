@@ -6,16 +6,16 @@ from sdsr.corpus import (
     CrossReference,
     DocSummary,
     SectionRule,
+    SectionedDocument,
     build_doc_summary,
-    document_from_dict,
     document_to_dict,
     resolve_coload,
     section_document,
-    summary_from_dict,
     summary_to_dict,
 )
 from sdsr.errors import DanglingReference, EmptyDocument
 from sdsr.fixtures import fixture_judgment
+from sdsr.wire import decode
 
 
 @pytest.fixture(scope="module")
@@ -102,8 +102,9 @@ class TestBuildDocSummary:
     def test_json_round_trip(self, judgment):
         _, _, digests, refs, doc = judgment
         summary, _ = build_doc_summary(doc, digests, refs)
-        assert summary_from_dict(summary_to_dict(summary)) == summary
-        doc2, summary2 = document_from_dict(document_to_dict(doc, summary))
+        assert decode(DocSummary, summary_to_dict(summary)) == summary
+        data = document_to_dict(doc, summary)
+        doc2, summary2 = decode(SectionedDocument, data), decode(DocSummary, data["summary"])
         assert doc2 == doc
         assert summary2 == summary
 

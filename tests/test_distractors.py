@@ -9,12 +9,12 @@ from sdsr.distractors import (
     generate_distractors,
     inject_interleaved,
     interleave_positions,
-    round_config_from_dict,
     round_config_to_dict,
 )
 from sdsr.errors import NameCollision, UnknownTarget
 from sdsr.fixtures import round2_config, round3_config
 from sdsr.library import Category, KnowledgeLibrary, Skill, validate_library
+from sdsr.wire import decode
 
 
 def spacing_report(categories):
@@ -112,7 +112,7 @@ class TestSpecInvariants:
 
     def test_round_config_roundtrips_through_json(self):
         cfg = round2_config()
-        again = round_config_from_dict(json.loads(json.dumps(round_config_to_dict(cfg))))
+        again = decode(RoundConfig, json.loads(json.dumps(round_config_to_dict(cfg))))
         assert again == cfg
 
 

@@ -15,7 +15,6 @@ from sdsr.engine import (
     resolve_complement,
     route_tier1,
     select_tier2,
-    skill_score,
 )
 from sdsr.errors import (
     AllSelectionsInvalid,
@@ -318,12 +317,6 @@ class TestComplements:
         ))
         updated = apply_complement_pass(original, bare_library)
         assert updated.selections[0].secondary.category == "Visual_Architecture"
-
-
-def test_skill_score_matches_oracle():
-    skill = Skill(name="Zephyr_Gauge", description="measures zephyr drift")
-    assert skill_score("zephyr drift", skill) == pytest.approx(
-        oracle_overlap("zephyr drift", "Zephyr_Gauge", "measures zephyr drift"), abs=1e-12)
 
 
 class TestOnlyOverlappingTextIsTokenized:

@@ -10,11 +10,11 @@ from sdsr.guidance import (
     build_condition,
     build_summary,
     expand_extended_prompt,
-    prompt_config_from_dict,
     prompt_config_to_dict,
     strip_summary,
 )
 from sdsr.library import Category, KnowledgeLibrary, Skill, validate_library
+from sdsr.wire import decode
 
 TABLE_TARGETS = [
     "Axiomatic_Logic_&_Audit_Systems",
@@ -146,5 +146,5 @@ class TestPromptConfig:
 
     def test_roundtrips_through_json(self):
         config = fixture_prompt_config()
-        again = prompt_config_from_dict(json.loads(json.dumps(prompt_config_to_dict(config))))
+        again = decode(PromptConfig, json.loads(json.dumps(prompt_config_to_dict(config))))
         assert again == config

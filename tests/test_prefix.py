@@ -9,7 +9,7 @@ from sdsr import library
 from sdsr.engine import LexicalBackend, RoutingRequest, route_tier1
 from sdsr.errors import IoFailure, MalformedFile, NoSummary, SummaryNotFirst
 from sdsr.fixtures import build_fixture_library
-from sdsr.library import serialize_library, summary_block_from_dict, summary_to_dict
+from sdsr.library import SummaryBlock, serialize_library, summary_to_dict
 from sdsr.prefix import (
     estimate_tokens,
     extract_summary,
@@ -17,6 +17,7 @@ from sdsr.prefix import (
     scan_registry,
     summary_token_estimate,
 )
+from sdsr.wire import decode
 
 from _generators import library_with_big_body
 
@@ -74,7 +75,7 @@ class TestExtractSummary:
     def test_matches_full_parse(self, library_file):
         result = extract_summary(library_file)
         value, end = oracle_summary_end(library_file)
-        assert result.summary == summary_block_from_dict(value)
+        assert result.summary == decode(SummaryBlock, value)
         assert result.summary_end_offset == end
         assert result.warning is None
 
@@ -283,7 +284,7 @@ def test_outcome_is_independent_of_block_size(tmp_path_factory, case):
     if untruncated:
         value, end = oracle_summary_end(path)
         summary, summary_end, warning = _outcome(path, 4096, strict=not leading)
-        assert (summary, summary_end) == (summary_block_from_dict(value), end)
+        assert (summary, summary_end) == (decode(SummaryBlock, value), end)
         assert (warning is not None) == leading
         if leading:
             assert _outcome(path, 4096, strict=True) is SummaryNotFirst

@@ -5,14 +5,20 @@ in _generators cover the shapes hypothesis is poor at (whole libraries,
 documents) while keeping every case reproducible.
 """
 
+import contextlib
+import copy
+import io
+import json
 import random
 import re
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sdsr.bench import format_selections, parse_response, Question, score_responses
+from sdsr.cli import dispatch
 from sdsr.corpus import section_document
 from sdsr.distractors import inject_interleaved
 from sdsr.engine import (
@@ -400,3 +406,151 @@ def test_tokenize_matches_the_split_oracle(text):
 ], ids=["kelvin", "dotted-capital-i", "final-sigma", "fullwidth-digits", "empty"])
 def test_tokenize_unicode_examples(text, expected):
     assert tokenize(text) == _split_tokenize(text) == expected
+
+
+# --- malformed input files --------------------------------------------
+#
+# Every input format, paired with a CLI command that reads it.  Bare file
+# names in a command are files of fixtures/; OUT and OUTDIR are temporary
+# output paths.
+
+FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
+
+STRUCTURE = ["structure", "--rules", "judgment_rules.json", "--in", "judgment.txt",
+             "--out", "OUT", "--digests", "judgment_digests.json",
+             "--refs", "judgment_refs.json"]
+SCORE = ["score", "--selections", "selections_r1_B.json", "--key", "questions_20.json"]
+READERS = {
+    "library_r1.json": ["validate", "--in", "library_r1.json"],
+    "questions_20.json": SCORE,
+    "selections_r1_B.json": SCORE,
+    "prompts.json": ["condition", "--version", "D", "--in", "library_r1.json",
+                     "--out-dir", "OUTDIR", "--prompts", "prompts.json"],
+    "round2_specs.json": ["expand", "--in", "library_r1.json",
+                          "--specs", "round2_specs.json", "--out", "OUT"],
+    "judgment_rules.json": STRUCTURE,
+    "judgment_refs.json": STRUCTURE,
+    "judgment_digests.json": STRUCTURE,
+}
+DELETE = object()
+MUTATIONS = [DELETE, None, [], 7]
+
+
+def _key_paths(value, prefix=()):
+    """Every path of keys and list indexes inside *value*, parents first."""
+    if isinstance(value, dict):
+        steps = value.items()
+    elif isinstance(value, list):
+        steps = enumerate(value)
+    else:
+        return
+    for step, child in steps:
+        yield prefix + (step,)
+        yield from _key_paths(child, prefix + (step,))
+
+
+def _mutated(data, path, mutation):
+    data = copy.deepcopy(data)
+    parent = data
+    for step in path[:-1]:
+        parent = parent[step]
+    if mutation is DELETE:
+        del parent[path[-1]]
+    else:
+        parent[path[-1]] = mutation
+    return data
+
+
+def _run_reader(name, text, workdir):
+    """Run the command that reads fixture *name*, given *text* as that file."""
+    (workdir / "input.json").write_text(text, encoding="utf-8")
+    argv = [str(workdir / "input.json") if arg == name
+            else str(workdir / arg) if arg in ("OUT", "OUTDIR")
+            else str(FIXTURES / arg) if (FIXTURES / arg).is_file() else arg
+            for arg in READERS[name]]
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        outcome = dispatch(argv)
+    return outcome.exit_code, err.getvalue()
+
+
+@pytest.fixture(scope="module")
+def workdir(tmp_path_factory):
+    return tmp_path_factory.mktemp("malformed")
+
+
+@pytest.mark.parametrize("name", sorted(READERS))
+def test_every_reader_accepts_its_fixture(name, workdir):
+    code, err = _run_reader(name, (FIXTURES / name).read_text(encoding="utf-8"), workdir)
+    assert (code, [line for line in err.splitlines() if line.startswith("ERROR")]) == (0, [])
+
+
+@pytest.mark.parametrize("name", sorted(READERS))
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_a_mutated_input_file_never_escapes_as_a_traceback(name, workdir, data):
+    original = json.loads((FIXTURES / name).read_text(encoding="utf-8"))
+    path = data.draw(st.sampled_from(list(_key_paths(original))), label="path")
+    mutation = data.draw(st.sampled_from(MUTATIONS), label="mutation")
+    text = json.dumps(_mutated(original, path, mutation))
+    code, err = _run_reader(name, text, workdir)
+    assert code in (0, 1), err
+    assert "Traceback" not in err
+    assert len([line for line in err.splitlines() if line.startswith("ERROR")]) <= 1
+
+
+def _set(*path_and_value):
+    *path, value = path_and_value
+    return lambda data: _mutated(data, tuple(path), value)
+
+
+@pytest.mark.parametrize("name, change, error", [
+    ("questions_20.json", _set(0, "id", None),
+     "[0].id: expected an integer, got null"),
+    ("questions_20.json", _set(2, "id", "3"),
+     "[2].id: expected an integer, got a string"),
+    ("selections_r1_B.json", _set("selections", 0, "question_id", DELETE),
+     "selections[0].question_id: missing required key"),
+    ("selections_r1_B.json", _set("selections", 1, "secondary", []),
+     "selections[1].secondary: expected an object, got a list"),
+    ("judgment_rules.json", _set(1, "header_pattern", DELETE),
+     "[1].header_pattern: missing required key"),
+    ("judgment_rules.json", _set(2, "header_pattern", "(["),
+     "[2]: bad header_pattern '([': unterminated character set at position 1"),
+    ("judgment_refs.json", _set(0, "to_section", DELETE),
+     "[0].to_section: missing required key"),
+    ("judgment_digests.json", lambda data: [],
+     "expected an object, got a list"),
+    ("prompts.json", _set("high_priority", 0, "confused_with", DELETE),
+     "high_priority[0].confused_with: missing required key"),
+    ("prompts.json", _set("extended_template", "no placeholder"),
+     "extended_template must contain the {high_priority} placeholder"),
+    ("round2_specs.json", lambda data: {"round_id": 2, "distractors": [{}]},
+     "distractors[0].tier: missing required key"),
+    ("round2_specs.json", _set("distractors", 0, "theta", "0.3"),
+     "distractors[0].theta: expected a number, got a string"),
+    ("library_r1.json",
+     _set("High_Impact_Skills_Library", "Cognitive_Architecture_&_Routing", "skills", 0,
+          "skill_name", 7),
+     "High_Impact_Skills_Library.Cognitive_Architecture_&_Routing.skills[0].skill_name: "
+     "expected a string, got an integer"),
+    ("library_r1.json", _set("_provenance", "nope"),
+     "_provenance: expected an object, got a string"),
+], ids=["question-id-null", "question-id-string", "selection-question-id-missing",
+        "selection-secondary-list", "rule-pattern-missing", "rule-pattern-bad-regex",
+        "ref-to-section-missing", "digests-list", "prompt-confused-with-missing",
+        "prompt-placeholder-missing", "spec-tier-missing", "spec-theta-string",
+        "skill-name-integer", "provenance-string"])
+def test_a_malformed_input_file_exits_one_naming_the_key_path(name, change, error, workdir):
+    original = json.loads((FIXTURES / name).read_text(encoding="utf-8"))
+    code, err = _run_reader(name, json.dumps(change(original)), workdir)
+    assert (code, err.splitlines()) == (1, [f"ERROR MalformedFile: {error}"])
+
+
+@pytest.mark.parametrize("name", sorted(READERS))
+def test_a_truncated_input_file_exits_one_naming_the_file(name, workdir):
+    text = (FIXTURES / name).read_text(encoding="utf-8")
+    code, err = _run_reader(name, text[:len(text) // 2], workdir)
+    assert code == 1
+    [line] = err.splitlines()
+    assert line.startswith(f"ERROR MalformedFile: {workdir / 'input.json'}: invalid JSON: ")

@@ -6,7 +6,8 @@ from sdsr.errors import TransportError
 from sdsr.fixtures import build_fixture_library
 from sdsr.guidance import build_summary
 from sdsr.library import Category, KnowledgeLibrary, Skill
-from sdsr.remote import RemoteBackend, RemoteConfig, remote_config_from_dict
+from sdsr.remote import RemoteBackend, RemoteConfig
+from sdsr.wire import decode
 
 
 def make_config(**overrides):
@@ -187,7 +188,7 @@ class TestSelect:
 
 
 def test_config_from_dict_round_trip():
-    config = remote_config_from_dict(json.loads(json.dumps({
+    config = decode(RemoteConfig, json.loads(json.dumps({
         "endpoint": "https://x.example/api",
         "model": "m",
         "api_key_env": "MY_KEY",
