@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
 
-from .errors import EmptyKey, MalformedFile, SdsrError, UnknownQuestion
+from .errors import EmptyKey, IoFailure, MalformedFile, SdsrError, UnknownQuestion
 from .guidance import GuidanceCondition
 from .engine import (
     QuestionSelection,
@@ -111,20 +111,6 @@ def decode_questions(obj: object) -> list[Question]:
 
 def questions_from_json(text: str | bytes) -> list[Question]:
     return decode_questions(json.loads(text))
-
-
-def questions_to_json(questions: Sequence[Question]) -> str:
-    return json.dumps(
-        [
-            {
-                "id": q.id,
-                "text": q.text,
-                "primary_target": q.primary_target,
-                "secondary_target": q.secondary_target,
-            }
-            for q in questions
-        ],
-        ensure_ascii=False, indent=2) + "\n"
 
 
 def parse_response(
@@ -307,11 +293,14 @@ def _compose_message(cond: GuidanceCondition, questions: Sequence[Question]) -> 
 
 
 def _persist(results: Sequence[BenchmarkResult], out_dir: Path) -> None:
-    out_dir.mkdir(parents=True, exist_ok=True)
-    for res in results:
-        (out_dir / f"transcript_{res.condition}.txt").write_text(
-            res.transcript, encoding="utf-8")
-    (out_dir / "report.csv").write_text(results_to_csv(results), encoding="utf-8")
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+        for res in results:
+            (out_dir / f"transcript_{res.condition}.txt").write_text(
+                res.transcript, encoding="utf-8")
+        (out_dir / "report.csv").write_text(results_to_csv(results), encoding="utf-8")
+    except OSError as exc:
+        raise IoFailure(f"cannot write to {out_dir}: {exc}") from exc
 
 
 def results_to_csv(results: Sequence[BenchmarkResult]) -> str:

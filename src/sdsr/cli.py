@@ -31,6 +31,9 @@ EXIT_VALIDATION = 1
 EXIT_USAGE = 2
 EXIT_TRANSPORT = 3
 
+# The prompt config that --prompts reads when not given: the checkout's fixture file.
+DEFAULT_PROMPTS = Path(__file__).resolve().parents[2] / "fixtures" / "prompts.json"
+
 
 @dataclass(frozen=True)
 class CommandOutcome:
@@ -43,6 +46,8 @@ def _read_text(path: str) -> str:
         return Path(path).read_text(encoding="utf-8")
     except OSError as exc:
         raise IoFailure(f"cannot read {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise MalformedFile(f"{path}: not UTF-8: {exc}") from None
 
 
 def _load_json(path: str) -> object:
@@ -65,13 +70,6 @@ def _load_library(path: str, body_key: str | None = None):
 
 def _load_config(path: str | None) -> dict:
     return decode(dict[str, object], _load_json(path)) if path else {}
-
-
-def _load_prompts(path: str | None) -> guidance.PromptConfig:
-    if not path:
-        from .fixtures import fixture_prompt_config
-        return fixture_prompt_config()
-    return decode(guidance.PromptConfig, _load_json(path))
 
 
 def _make_backend(name: str, config: dict):
@@ -137,13 +135,16 @@ def _cmd_strip(args) -> CommandOutcome:
 
 def _cmd_condition(args) -> CommandOutcome:
     lib = _load_library(args.infile, args.body_key)
-    prompts = _load_prompts(args.prompts)
+    prompts = decode(guidance.PromptConfig, _load_json(args.prompts))
     cond = guidance.build_condition(lib, args.version, prompts, hint_max=args.hint_max)
     out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     lib_path = out_dir / f"library_{cond.condition}.json"
     prompt_path = out_dir / f"prompt_{cond.condition}.txt"
-    lib_path.write_bytes(cond.library_artifact)
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+        lib_path.write_bytes(cond.library_artifact)
+    except OSError as exc:
+        raise IoFailure(f"cannot write to {out_dir}: {exc}") from exc
     _write_text(prompt_path, cond.system_prompt + "\n")
     payload = {"condition": cond.condition, "library": str(lib_path),
                "prompt": str(prompt_path)}
@@ -233,7 +234,7 @@ def _cmd_bench(args) -> CommandOutcome:
     lib = _load_library(args.lib, args.body_key)
     questions = bench.decode_questions(_load_json(args.questions))
     _print_findings_stderr(bench.lint_questions(questions))
-    prompts = _load_prompts(args.prompts)
+    prompts = decode(guidance.PromptConfig, _load_json(args.prompts))
     conditions = [
         guidance.build_condition(lib, name.strip(), prompts, hint_max=args.hint_max)
         for name in args.conditions.split(",") if name.strip()
@@ -363,7 +364,8 @@ def build_parser() -> argparse.ArgumentParser:
     common_lib(p)
     p.add_argument("--version", required=True, choices=("A", "B", "C", "D"))
     p.add_argument("--out-dir", required=True)
-    p.add_argument("--prompts", default=None, help="prompt config JSON")
+    p.add_argument("--prompts", default=str(DEFAULT_PROMPTS),
+                   help="prompt config JSON (default: fixtures/prompts.json of the checkout)")
     p.add_argument("--hint-max", type=int, default=100)
     p.set_defaults(func=_cmd_condition)
 
@@ -401,7 +403,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--lib", required=True)
     p.add_argument("--body-key", default=None)
     p.add_argument("--questions", required=True)
-    p.add_argument("--prompts", default=None)
+    p.add_argument("--prompts", default=str(DEFAULT_PROMPTS),
+                   help="prompt config JSON (default: fixtures/prompts.json of the checkout)")
     p.add_argument("--backend", choices=("lexical", "remote"), default="lexical")
     p.add_argument("--out-dir", default=None, help="persist transcripts and report.csv here")
     p.add_argument("--hint-max", type=int, default=100)

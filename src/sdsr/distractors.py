@@ -78,27 +78,8 @@ class ExpansionResult:
     report: tuple[Finding, ...]
 
 
-def spec_to_dict(spec: DistractorSpec) -> dict:
-    out: dict = {"tier": spec.tier, "name": spec.name, "description": spec.description}
-    if spec.target is not None:
-        out["target"] = spec.target
-    out["theta"] = spec.theta
-    out["skills"] = [{"skill_name": s.name, "description": s.description} for s in spec.skills]
-    return out
-
-
 # perfbench/inputs.py imports this name.
 round_config_from_dict = partial(decode, RoundConfig)
-
-
-def round_config_to_dict(cfg: RoundConfig) -> dict:
-    out: dict = {"round_id": cfg.round_id}
-    if cfg.expected_categories is not None:
-        out["expected_categories"] = cfg.expected_categories
-    if cfg.expected_skills is not None:
-        out["expected_skills"] = cfg.expected_skills
-    out["distractors"] = [spec_to_dict(s) for s in cfg.distractors]
-    return out
 
 
 def generate_distractors(

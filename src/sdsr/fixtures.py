@@ -1,927 +1,69 @@
-"""Shipped synthetic fixture content: library, questions, specs, prompts.
+"""Shipped synthetic fixture content, loaded from the checkout's ``fixtures/``.
 
-The fixture library is a 36-category, 190-skill knowledge base written
-for this package (schema-compatible with the production format, content
-authored fresh).  Twenty benchmark questions come with an answer key of
-20 primary targets and 17 designated secondaries, every question text
-passing the keyword-avoidance lint.  Round configs expand the library
-to 60 and then 120 categories with two tiers of distractors; the
-round-3 config deliberately states an expected total of 119 so the
-mismatch surfaces as a warning rather than disappearing.
-
-Run ``python -m sdsr.fixtures OUTDIR`` to materialize everything as
-files for CLI use.
+The committed files are the only copy of the library, questions, round
+configs, prompts, selections and judgment corpus; each function decodes
+one with the decoder the CLI uses for that format.
 """
 
 from __future__ import annotations
 
 import json
-import sys
 from pathlib import Path
 
-from .bench import Question, questions_to_json, selection_set_to_dict
+from .bench import Question, decode_questions
 from .corpus import CrossReference, SectionRule
-from .distractors import DistractorSpec, RoundConfig, round_config_to_dict
-from .engine import QuestionSelection, Selection, SelectionSet
-from .guidance import HighPriorityEntry, PromptConfig, build_summary, prompt_config_to_dict
-from .library import Category, KnowledgeLibrary, Skill, serialize_library
+from .distractors import RoundConfig
+from .engine import SelectionSet
+from .guidance import PromptConfig
+from .library import KnowledgeLibrary, deserialize_library
+from .wire import decode
 
-# name, abstraction level, complement, description, skills
-_LIBRARY_TABLE = [
-    (
-        "Cognitive_Architecture_&_Routing", "pipeline", None,
-        "Top-level dispatch layer that performs intent triage on each arriving ask and "
-        "dispatches it to the right handling strategy before any drafting starts. Covers "
-        "request-type detection and processing-path selection.",
-        [
-            ("Intent_Router", "Classifies an arriving ask and names the handling strategy."),
-            ("Request_Type_Detector", "Distinguishes question, command, and open brief."),
-            ("Processing_Path_Selector", "Chooses the downstream path once intent is known."),
-            ("Escalation_Gatekeeper", "Decides when an ask leaves the automated path."),
-            ("Capability_Matchmaker", "Pairs an ask with the narrowest sufficient capability."),
-            ("Fallback_Strategy_Planner", "Scripted second options when the first path stalls."),
-            ("Priority_Queue_Shaper", "Orders competing asks by urgency and cost."),
-        ],
-    ),
-    (
-        "Axiomatic_Logic_&_Audit_Systems", "system", "Cognitive_Architecture_&_Routing",
-        "Rigorous output verification: checks internal contradictions, replays reasoning "
-        "step by step, and can certify a full chain of inference against its premises.",
-        [
-            ("Contradiction_Sweep", "Pass that checks a draft for statements at odds."),
-            ("Premise_Ledger", "Keeps every assumed premise explicit and numbered."),
-            ("Inference_Chain_Validator", "Verifies each link before the next is trusted."),
-            ("Step_Replay_Harness", "Re-runs reasoning from a clean slate to compare."),
-            ("Claim_Consistency_Matrix", "Cross-checks claims pairwise for conflicts."),
-            ("Proof_Obligation_Tracker", "Lists what remains unproven in an argument."),
-            ("Verdict_Certifier", "Signs off only when every obligation is discharged."),
-        ],
-    ),
-    (
-        "Academic_Insight_&_Forensics", "detection", "Axiomatic_Logic_&_Audit_Systems",
-        "Close reading of scholarly work: surfaces unstated assumptions, probes "
-        "methodological weaknesses, and reconstructs what a study actually establishes.",
-        [
-            ("Hidden_Premise_Extractor", "Names what the author relies on but never states."),
-            ("Method_Weakness_Probe", "Stress-reads the study protocol for soft spots."),
-            ("Evidence_Trail_Tracer", "Follows each conclusion back to its source."),
-            ("Citation_Forensics_Kit", "Checks whether references support the claims made."),
-            ("Peer_Review_Simulant", "Drafts the review a sceptical referee would write."),
-            ("Replication_Risk_Rater", "Estimates how likely the result survives a redo."),
-        ],
-    ),
-    (
-        "Interactive_Pedagogy_&_Gamification", "system", "Game_Design_&_Mechanics",
-        "Teaching loops for school subjects: tutoring flows that adjust difficulty after "
-        "every pupil answer and wrap practice in play-like reward structure.",
-        [
-            ("Difficulty_Ladder_Tuner", "Moves the next exercise up or down one rung."),
-            ("Pupil_Response_Reader", "Infers mastery from the shape of an answer."),
-            ("Reward_Loop_Designer", "Paces stars and streaks so practice stays fun."),
-            ("Mastery_Checkpoint_Planner", "Places review gates before new material."),
-            ("Praise_Cadence_Calibrator", "Times encouragement to effort, not luck."),
-            ("Lesson_Quest_Builder", "Wraps a learning goal in a short quest arc."),
-        ],
-    ),
-    (
-        "Persona_&_Narrative_Synthesis", "engine", "Interactive_Narrative_&_Fiction_Engine",
-        "Builds and holds a character: detective-grade backstory depth, stable temperament, "
-        "and consistent speech habits maintained over long conversation.",
-        [
-            ("Backstory_Loom", "Weaves biographical detail that stays self-consistent."),
-            ("Voice_Consistency_Anchor", "Keeps diction recognisable across sessions."),
-            ("Temperament_Profile_Sheet", "Fixes mood baselines and trigger responses."),
-            ("Speech_Habit_Bank", "Catchphrases, pauses, and verbal tics on file."),
-            ("In_Character_Recovery", "Returns gracefully after an out-of-role slip."),
-            ("Self_Memory_Ledger", "What the character knows about their own past."),
-            ("Relationship_Stance_Tracker", "How the character treats each interlocutor."),
-        ],
-    ),
-    (
-        "Data_Structuring_&_Engineering", "engine", "Meta_Data_&_Engineering",
-        "Converts messy free-form input into clean machine readable records: schema-first "
-        "field design, extraction templates, and strict output shaping.",
-        [
-            ("Schema_First_Extractor", "Defines the record shape before touching input."),
-            ("Field_Mapping_Templater", "Reusable source-to-field conversion templates."),
-            ("Free_Form_Normalizer", "Flattens prose into predictable key-value pairs."),
-            ("Record_Shape_Enforcer", "Rejects output that drifts from the contract."),
-            ("Delimiter_Discipline", "Consistent separators and escaping throughout."),
-            ("Type_Coercion_Guard", "Keeps numbers, dates, and enums honest."),
-            ("Null_Policy_Setter", "One rule for missing values, applied everywhere."),
-        ],
-    ),
-    (
-        "Game_Design_&_Mechanics", "system", "RPG_Narrative_Director",
-        "Quantitative balance craft for play loops: combat numbers, level progression "
-        "curves, power scaling formulas for equipment, and reward pacing for heroes.",
-        [
-            ("Combat_Curve_Planner", "Damage and defence growth that stays fair."),
-            ("Equipment_Power_Budget", "Caps how much strength gear may add per tier."),
-            ("Progression_Pacing_Grid", "Level timing so mid-game never sags."),
-            ("Drop_Rate_Balancer", "Loot odds tuned against grind fatigue."),
-            ("Economy_Sink_Planner", "Places gold sinks before inflation bites."),
-            ("Encounter_Scaling_Rules", "Enemy stats as a function of party strength."),
-            ("Playtest_Metric_Reader", "Turns session logs into balance verdicts."),
-        ],
-    ),
-    (
-        "UI_UX_&_Frontend_Engineering", "pipeline", "Visual_Architecture",
-        "From brand identity to shipped interface: web page spec, CSS token scales, "
-        "component styles, and responsive layout conventions.",
-        [
-            ("Design_Token_Mapper", "Turns identity colours and type into CSS tokens."),
-            ("Brand_To_CSS_Bridge", "Carries the identity palette into stylesheet code."),
-            ("Component_Style_Sheet", "Canonical styles for each interface component."),
-            ("Layout_Grid_Composer", "Columns, gutters, and breakpoints that match."),
-            ("Responsive_Breakpoint_Plan", "Where and how the page re-flows."),
-            ("Accessibility_Contrast_Check", "Keeps text readable against every surface."),
-        ],
-    ),
-    (
-        "Policy_Impact_&_Externalities", "framework", "Strategic_Decision_Frameworks",
-        "Weighs regulation and public programmes by unintended side effects: indirect "
-        "consequences, distributional costs, and long-run burdens that resist quantification.",
-        [
-            ("Second_Order_Effect_Scan", "Hunts the consequences of the consequences."),
-            ("Externality_Cost_Ledger", "Prices burdens that fall on third parties."),
-            ("Stakeholder_Burden_Matrix", "Who carries which cost, made explicit."),
-            ("Long_Horizon_Risk_Sketch", "Damage that only shows up in a decade."),
-            ("Distributional_Lens", "Checks who gains and who quietly pays."),
-        ],
-    ),
-    (
-        "RPG_Narrative_Director", "engine", "Interactive_Narrative_&_Fiction_Engine",
-        "Runs a tabletop campaign as the game master: arbitrates player actions, honours "
-        "dice outcomes, and improvises scenes inside established lore.",
-        [
-            ("Dice_Outcome_Adjudicator", "Rules honestly on every roll at the table."),
-            ("Table_Pacing_Conductor", "Keeps spotlight time moving between players."),
-            ("Lore_Continuity_Keeper", "Guards the setting's established facts."),
-            ("Player_Agency_Balancer", "Consequence without railroading."),
-            ("Scene_Improv_Prompter", "Instant texture when the party goes off-map."),
-            ("Session_Recap_Scribe", "Opens each session with what came before."),
-        ],
-    ),
-    (
-        "Occult_&_Ritual_Systems", "system", None,
-        "Esoteric practice craft: tarot readings, card combinations read by spread "
-        "position, correspondence tables, and layered symbolic interpretation with ceremony.",
-        [
-            ("Spread_Position_Reader", "Meaning of each card slot in the layout."),
-            ("Card_Correspondence_Table", "Suits, elements, and numbers cross-indexed."),
-            ("Symbol_Layer_Weaver", "Stacks literal, mythic, and personal readings."),
-            ("Ceremony_Script_Composer", "Opening and closing language with weight."),
-            ("Omen_Tone_Calibrator", "Honest readings that avoid fatalism."),
-        ],
-    ),
-    (
-        "Distributed_Cognition_&_Context_Orchestration", "governance",
-        "Autonomous_System_Engineering",
-        "Governance for a multi agent workflow: which agent owns which stage, how working "
-        "state must pass between agents at handoff, and what prevents anything being dropped.",
-        [
-            ("Stage_Ownership_Charter", "One accountable agent per stage, written down."),
-            ("State_Handoff_Contract", "Exactly what crosses the boundary, and when."),
-            ("Context_Loss_Sentinel", "Alarms when information fails to arrive intact."),
-            ("Agent_Role_Registry", "Who exists, what they may do, whom they call."),
-            ("Pipeline_Memory_Bus", "Shared carry-forward for accumulated decisions."),
-            ("Baton_Pass_Protocol", "Acknowledged transfer instead of fire-and-forget."),
-            ("Orchestration_Health_Reader", "Spots the stage where flow silts up."),
-        ],
-    ),
-    (
-        "Adversarial_Systems_Thinking", "framework", "Strategic_Decision_Frameworks",
-        "Red-team framing: probe competitor weak points, map systemic vulnerabilities, "
-        "and stress-test the assumptions behind a business strategy.",
-        [
-            ("Weak_Point_Mapper", "Finds the joints where pressure tells."),
-            ("Attack_Surface_Sketch", "Everything an opponent could reach."),
-            ("Competitor_Stress_Test", "How the rival behaves when squeezed."),
-            ("Vulnerability_Lattice_Builder", "Links exposures into failure paths."),
-            ("Red_Team_Scenario_Writer", "Plays the other side with full effort."),
-            ("Counter_Move_Forecaster", "Their best response to each of ours."),
-        ],
-    ),
-    (
-        "Academic_Research_Synthesis_Pipeline", "pipeline", "Academic_Insight_&_Forensics",
-        "End-to-end production line from experiment scripts to journal manuscript: methods "
-        "written from the run itself, results sections, and submission formatting.",
-        [
-            ("Methods_From_Runs_Writer", "Turns what the code did into methods prose."),
-            ("Results_Table_Composer", "Numbers into publishable tables and stats."),
-            ("Figure_Caption_Drafter", "Captions that stand alone from the text."),
-            ("Journal_Style_Formatter", "House style applied in one pass."),
-            ("Abstract_Condenser", "The whole study in two hundred words."),
-            ("Submission_Package_Assembler", "Cover letter to supplement, bundled."),
-        ],
-    ),
-    (
-        "Revenue_Generation_&_Commercial_Logic", "system", "Product_Psychology",
-        "Monetisation playbooks: a sales conversation that senses purchase readiness, "
-        "steers toward closing, and frames the deal persuasively.",
-        [
-            ("Purchase_Readiness_Sensor", "Reads buying signals in the exchange."),
-            ("Objection_Reframe_Kit", "Turns hesitation into clarified value."),
-            ("Closing_Sequence_Planner", "The last three moves before yes."),
-            ("Offer_Anchor_Builder", "Sets the reference point a price is judged by."),
-            ("Deal_Momentum_Tracker", "Knows when to push and when to pause."),
-            ("Pricing_Conversation_Guide", "Talks money without losing trust."),
-        ],
-    ),
-    (
-        "Cross_Cultural_Localization_Intelligence", "system", "Persona_&_Narrative_Synthesis",
-        "Reads where a user is from: detects background norms and adapts tone, idiom, and "
-        "example framing to local communication expectations.",
-        [
-            ("Norm_Detection_Antenna", "Picks up formality and directness cues."),
-            ("Idiom_Adaptation_Bank", "Swaps figures of speech that do not travel."),
-            ("Tone_Register_Switcher", "Warm, formal, or brisk to match the reader."),
-            ("Example_Relocalizer", "Replaces references with local equivalents."),
-            ("Taboo_Topic_Radar", "Knows what not to joke about where."),
-        ],
-    ),
-    (
-        "Self_Evolution_&_Refinement", "governance", "Meta_Data_&_Engineering",
-        "Improvement flywheel: keeps improving its own prompting by learning from past "
-        "failures, revising internal reasoning, and tracking what made answers better.",
-        [
-            ("Failure_Memory_Bank", "Catalogue of what went wrong and why."),
-            ("Revision_Cadence_Planner", "When to rework and when to leave alone."),
-            ("Improvement_Metric_Trace", "Evidence that the changes actually helped."),
-            ("Regression_Watchdog", "Flags when a fix breaks an older win."),
-            ("Better_Answer_Ledger", "Before-and-after pairs worth keeping."),
-            ("Habit_Retuning_Drill", "Deliberate practice against known traps."),
-        ],
-    ),
-    (
-        "Interactive_Narrative_&_Fiction_Engine", "engine", "RPG_Narrative_Director",
-        "Runtime for branching story worlds: every reader choice reshapes the world while "
-        "plotlines stay internally consistent as branches fork.",
-        [
-            ("Branch_Topology_Planner", "Where the story forks and where it rejoins."),
-            ("Choice_Consequence_Mapper", "Each decision's visible downstream effect."),
-            ("World_Memory_Tracker", "What the world remembers the reader did."),
-            ("Plotline_Merge_Resolver", "Joins branches without contradicting either."),
-            ("Consistency_Canon_Keeper", "One source of truth for what happened."),
-            ("Reader_Choice_Recorder", "The path taken, replayable on demand."),
-        ],
-    ),
-    (
-        "Minimalist_Entrepreneurship_Execution", "framework", "Community_Led_Business_Inception",
-        "Lean venture launch: validate the idea at lowest cost, run scrappy market response "
-        "testing, and defer building until the demand signal is real.",
-        [
-            ("Smoke_Screen_Landing", "A page that sells before anything exists."),
-            ("Demand_Signal_Sniffer", "Separates polite interest from intent to pay."),
-            ("Scrappy_Offer_Draft", "The minimum promise worth charging for."),
-            ("Preorder_Pilot_Kit", "Money before manufacturing, honestly framed."),
-            ("Cost_Floor_Tracker", "Keeps the burn near zero while testing."),
-        ],
-    ),
-    (
-        "Sensory_Audio_Design", "engine", None,
-        "Soundscape craft: derive sound layers, acoustic texture, and the full landscape "
-        "of ambience from a written scene description.",
-        [
-            ("Scene_To_Sound_Mapper", "Reads a scene and lists what should be heard."),
-            ("Ambience_Stack_Builder", "Bed, mid, and accent layers in order."),
-            ("Acoustic_Landscape_Sketch", "Space, distance, and echo on paper."),
-            ("Foley_Cue_Picker", "The small sounds that sell the moment."),
-            ("Silence_Dynamics_Planner", "Where the quiet goes, and for how long."),
-        ],
-    ),
-    (
-        "Meta_Data_&_Engineering", "system", None,
-        "The plumbing beneath a prompt library: metadata tags, version lineage, asset "
-        "catalogues, and storage conventions that keep the collection maintainable.",
-        [
-            ("Asset_Tag_Taxonomy", "A small controlled vocabulary, applied everywhere."),
-            ("Version_Lineage_Graph", "Which asset descends from which."),
-            ("Prompt_Catalogue_Curator", "Keeps the index honest as assets move."),
-            ("Storage_Layout_Plan", "Predictable paths before the pile grows."),
-            ("Change_Log_Discipline", "Every edit answers what and why."),
-            ("Retrieval_Key_Minter", "Stable identifiers that survive renames."),
-        ],
-    ),
-    (
-        "Strategic_Decision_Frameworks", "framework", None,
-        "Structured choice making under uncertainty: option trees, trade-off matrices, "
-        "scenario weighting, and commitment timing.",
-        [
-            ("Option_Tree_Builder", "Lays out choices and their branches."),
-            ("Tradeoff_Matrix_Weigher", "Criteria against options, scored in the open."),
-            ("Scenario_Weight_Assigner", "Futures ranked by likelihood and stakes."),
-            ("Commitment_Timing_Gauge", "Decide now, or buy information first."),
-            ("Reversibility_Classifier", "One-way doors flagged before walking through."),
-            ("Regret_Minimizer_Frame", "Chooses what the older you would defend."),
-        ],
-    ),
-    (
-        "Autonomous_System_Engineering", "engine", None,
-        "Self-directing services end to end: control loops, recovery behaviour, unattended "
-        "scheduling, and fail-safe operation.",
-        [
-            ("Control_Loop_Designer", "Sense, decide, act, and check again."),
-            ("Recovery_Behaviour_Planner", "What the service does after it falls over."),
-            ("Watchdog_Timer_Scheme", "Notices silence and restarts the stalled part."),
-            ("Unattended_Run_Checklist", "Safe to leave overnight, provably."),
-            ("Degraded_Mode_Playbook", "Less service beats no service."),
-            ("Self_Healing_Routine", "Repairs the common faults without paging anyone."),
-        ],
-    ),
-    (
-        "Visual_Architecture", "framework", None,
-        "Look development above any single screen: composition grammar, colour language, "
-        "iconography direction, and how imagery hangs together.",
-        [
-            ("Composition_Grammar_Guide", "Rules for how elements share space."),
-            ("Colour_Language_Palette", "What each hue is allowed to mean."),
-            ("Iconography_Direction_Sheet", "One drawing style for every glyph."),
-            ("Imagery_System_Weaver", "Photography and illustration that match."),
-            ("Moodboard_Digest", "The look, argued in one page."),
-        ],
-    ),
-    (
-        "Product_Psychology", "mechanism", None,
-        "Behavioural levers inside product experience: motivation framing, habit loops, "
-        "friction mapping, and persuasion ethics.",
-        [
-            ("Motivation_Frame_Picker", "Progress, loss, or belonging, chosen deliberately."),
-            ("Habit_Loop_Sketcher", "Cue, action, reward, drawn before building."),
-            ("Friction_Map_Walk", "Every sigh between intent and done."),
-            ("Persuasion_Ethics_Gate", "Influence that survives being explained."),
-            ("Delight_Moment_Planner", "Small joys placed where they matter."),
-        ],
-    ),
-    (
-        "Community_Led_Business_Inception", "framework", None,
-        "Starting a venture by growing its audience first: community seeding, early member "
-        "feedback, and launch by invitation.",
-        [
-            ("Audience_Seeding_Plan", "The first hundred people, by name."),
-            ("Early_Member_Council", "Founding users who shape the roadmap."),
-            ("Invitation_Launch_Ramp", "Scarcity with a straight face."),
-            ("Champion_Feedback_Loop", "The loudest fans heard first and often."),
-        ],
-    ),
-    (
-        "Prompt_Compression_&_Token_Economy", "mechanism", None,
-        "Context window budgeting: compress long prompts, prune redundant spans, and "
-        "account for spend per call.",
-        [
-            ("Span_Pruning_Pass", "Removes what the model never needed."),
-            ("Context_Budget_Ledger", "Where the window actually goes."),
-            ("Redundancy_Squeezer", "Says it once, well."),
-            ("Summary_Cache_Policy", "When a digest may stand in for the source."),
-        ],
-    ),
-    (
-        "Emotional_Intelligence_Modeling", "intelligence", None,
-        "Affect in dialogue: recognising frustration and delight, pacing empathy, and "
-        "de-escalation moves.",
-        [
-            ("Frustration_Signal_Reader", "Hears the third repeat of the same ask."),
-            ("Empathy_Pacing_Guide", "Acknowledge first, fix second."),
-            ("De_Escalation_Script", "Lowers the temperature without condescending."),
-            ("Delight_Detector", "Notices joy and does not trample it."),
-        ],
-    ),
-    (
-        "Legal_Reasoning_&_Compliance", "governance", None,
-        "Statute-aware drafting: compliance checklists, clause analysis, and obligation "
-        "tracking for regulated workflows.",
-        [
-            ("Clause_Risk_Scanner", "Flags the sentence that will be litigated."),
-            ("Obligation_Tracker_Grid", "Who must do what by when, per contract."),
-            ("Compliance_Checklist_Builder", "Regulation turned into checkboxes."),
-            ("Statute_Citation_Former", "Cites the actual provision, correctly."),
-        ],
-    ),
-    (
-        "Healthcare_Communication_Protocols", "system", None,
-        "Patient-facing messaging: symptom intake wording, consent explanations, and "
-        "clinically safe phrasing.",
-        [
-            ("Symptom_Intake_Script", "Asks the right questions in the right order."),
-            ("Consent_Explanation_Pack", "Plain language for serious signatures."),
-            ("Safe_Phrasing_Filter", "Never promises what medicine cannot."),
-        ],
-    ),
-    (
-        "Financial_Analysis_Toolkit", "component", None,
-        "Numbers into memos: ratio analysis, cash flow modelling, and valuation summaries "
-        "for finance reviews.",
-        [
-            ("Ratio_Analysis_Sheet", "The standard ratios with honest caveats."),
-            ("Cash_Flow_Modeler", "Money in, money out, month by month."),
-            ("Valuation_Summary_Memo", "What it is worth and why, in one page."),
-            ("Variance_Narrator", "Explains the gap between plan and actual."),
-        ],
-    ),
-    (
-        "Creative_Copywriting_Studio", "component", None,
-        "Voice-driven marketing copy: headlines, taglines, and launch variants written "
-        "to a brief.",
-        [
-            ("Headline_Variant_Forge", "Twenty options, three worth testing."),
-            ("Tagline_Distiller", "The promise in six words."),
-            ("Brief_To_Copy_Translator", "From strategy document to copy that breathes."),
-            ("Voice_Match_Editor", "Sounds like the brand on its best day."),
-        ],
-    ),
-    (
-        "Developer_Experience_Tooling", "component", None,
-        "Ergonomics for engineers: CLI affordances, error message craft, and onboarding "
-        "friction removal.",
-        [
-            ("CLI_Affordance_Review", "Flags where the tool fights its user."),
-            ("Error_Message_Stylist", "Says what broke and what to do next."),
-            ("Onboarding_Path_Smoother", "First success in under ten minutes."),
-            ("Doc_Snippet_Generator", "Examples that actually run."),
-        ],
-    ),
-    (
-        "Knowledge_Graph_Construction", "system", None,
-        "Linked concept maps: entity nodes, relation edges, and ontology curation for "
-        "connected lookup.",
-        [
-            ("Entity_Node_Extractor", "Finds the things worth naming."),
-            ("Relation_Edge_Linker", "Connects them with typed edges."),
-            ("Ontology_Curation_Pass", "Prunes the vocabulary before it sprawls."),
-        ],
-    ),
-    (
-        "Workflow_Automation_Design", "mechanism", None,
-        "Chains routine steps into hands-off flows: trigger wiring, retry rules, and "
-        "schedule management.",
-        [
-            ("Trigger_Wire_Setter", "Fires the flow on the right event."),
-            ("Retry_Rule_Writer", "Backs off, retries, then tells a human."),
-            ("Schedule_Manager_Setup", "Runs at the hour nobody is watching."),
-        ],
-    ),
-    (
-        "Ethical_Guardrails_&_Safety", "governance", None,
-        "Harm avoidance: refusal boundaries, sensitive topic treatment, and escalation "
-        "paths.",
-        [
-            ("Refusal_Boundary_Map", "Where the assistant stops, stated plainly."),
-            ("Sensitive_Topic_Gate", "Extra care switched on by subject matter."),
-            ("Escalation_Path_Plan", "When and how a human takes over."),
-            ("Harm_Scenario_Screen", "Checks the output against misuse stories."),
-        ],
-    ),
-]
+FIXTURES_DIR = Path(__file__).resolve().parents[2] / "fixtures"
 
-_QUESTIONS = [
-    (1, "I need an assistant that, when a user message arrives, works out what kind of "
-        "ask it is and dispatches it to the right handling strategy, doing intent triage "
-        "before any drafting starts.",
-     "Cognitive_Architecture_&_Routing", None),
-    (2, "Help me build an AI that rigorously checks its own output for internal "
-        "contradictions and replays every reasoning step to certify the full chain of "
-        "inference.",
-     "Axiomatic_Logic_&_Audit_Systems", "Cognitive_Architecture_&_Routing"),
-    (3, "I want an AI that reads a scholarly paper and surfaces the unstated assumptions "
-        "the author leans on, plus any methodological weaknesses hidden in the study.",
-     "Academic_Insight_&_Forensics", "Axiomatic_Logic_&_Audit_Systems"),
-    (4, "Create a tutoring experience for primary school maths that can adjust difficulty "
-        "after every pupil answer and make practice feel like play.",
-     "Interactive_Pedagogy_&_Gamification", "Game_Design_&_Mechanics"),
-    (5, "I need an AI to stay in character as a detective with a rich backstory, keeping "
-        "the same temperament and speech habits through every conversation.",
-     "Persona_&_Narrative_Synthesis", "Interactive_Narrative_&_Fiction_Engine"),
-    (6, "Help me build a prompt that takes messy free-form input and converts it into "
-        "clean machine readable records that follow a fixed schema.",
-     "Data_Structuring_&_Engineering", "Meta_Data_&_Engineering"),
-    (7, "I'm building a role playing adventure and need its combat balance tuned: level "
-        "progression curves for heroes and power scaling formulas for equipment.",
-     "Game_Design_&_Mechanics", "RPG_Narrative_Director"),
-    (8, "Produce a web page spec that starts from a brand identity palette and carries "
-        "it down to concrete CSS tokens and component styles.",
-     "UI_UX_&_Frontend_Engineering", "Visual_Architecture"),
-    (9, "I need to evaluate the unintended social side effects of a proposed regulation, "
-        "including indirect consequences and long-run costs that resist quantification.",
-     "Policy_Impact_&_Externalities", "Strategic_Decision_Frameworks"),
-    (10, "Build an AI game master for a tabletop campaign: it arbitrates player actions, "
-         "honours dice outcomes, and improvises scenes inside established lore.",
-     "RPG_Narrative_Director", "Interactive_Narrative_&_Fiction_Engine"),
-    (11, "I want an AI that performs tarot readings, interpreting card combinations by "
-         "spread position and delivering layered symbolic meaning.",
-     "Occult_&_Ritual_Systems", None),
-    (12, "Help me build a multi agent workflow where each agent owns one stage, and "
-         "working state must pass between agents without anything being dropped.",
-     "Distributed_Cognition_&_Context_Orchestration", "Autonomous_System_Engineering"),
-    (13, "I need a structured way to probe a competitor's weak points and map systemic "
-         "vulnerabilities before committing to a business strategy.",
-     "Adversarial_Systems_Thinking", "Strategic_Decision_Frameworks"),
-    (14, "Build an AI that takes the raw output of my experiment scripts and turns it "
-         "into methods and results sections formatted for a journal manuscript.",
-     "Academic_Research_Synthesis_Pipeline", "Academic_Insight_&_Forensics"),
-    (15, "I want a sales conversation assistant that senses purchase readiness and "
-         "steers the exchange toward closing the deal as persuasively as possible.",
-     "Revenue_Generation_&_Commercial_Logic", "Product_Psychology"),
-    (16, "Help me build an assistant that detects where a user is from and adapts tone, "
-         "idiom, and examples to their background norms.",
-     "Cross_Cultural_Localization_Intelligence", "Persona_&_Narrative_Synthesis"),
-    (17, "I need an AI that keeps improving its own prompting over time, learning from "
-         "past failures and revising internal reasoning.",
-     "Self_Evolution_&_Refinement", "Meta_Data_&_Engineering"),
-    (18, "Build a story experience where every reader choice reshapes the world, with "
-         "branching plotlines that stay internally consistent.",
-     "Interactive_Narrative_&_Fiction_Engine", "RPG_Narrative_Director"),
-    (19, "I want to validate a business idea from scratch at the lowest cost, with "
-         "scrappy market response testing before writing any code or hiring anyone.",
-     "Minimalist_Entrepreneurship_Execution", "Community_Led_Business_Inception"),
-    (20, "Given a written description of a visual scene, derive the matching sound "
-         "layers and the acoustic landscape that should accompany it.",
-     "Sensory_Audio_Design", None),
-]
 
-_ROUTING_ROLES = {
-    "cognitive_anchor": ("Cognitive_Architecture_&_Routing",),
-    "universal_fallback": ("Strategic_Decision_Frameworks",),
-    "domain_specific": (
-        "Occult_&_Ritual_Systems",
-        "Sensory_Audio_Design",
-        "Healthcare_Communication_Protocols",
-    ),
-}
+def _text(name: str) -> str:
+    return (FIXTURES_DIR / name).read_text(encoding="utf-8")
 
-_HIGH_PRIORITY = [
-    ("Axiomatic_Logic_&_Audit_Systems", "Recursive_Self_Audit_Engine", "hub vs. satellite"),
-    ("Distributed_Cognition_&_Context_Orchestration", "Agent_Handoff_Protocol_Design",
-     "governance vs. mechanics"),
-    ("Adversarial_Systems_Thinking", "Competitive_Intelligence_Synthesis",
-     "framework vs. intelligence"),
-    ("Academic_Research_Synthesis_Pipeline", "Code_To_Methodology_Translator",
-     "pipeline vs. component"),
-    ("Revenue_Generation_&_Commercial_Logic", "Conversion_Funnel_Architecture",
-     "system vs. mechanism"),
-    ("Cross_Cultural_Localization_Intelligence", "Cultural_Signal_Detection",
-     "system vs. detection"),
-    ("Interactive_Narrative_&_Fiction_Engine", "Branch_Narrative_Architect",
-     "engine vs. component"),
-]
 
-# Round-2 high-interference distractors: (name, target, description).
-_R2_HIGH = [
-    ("Agent_Handoff_Protocol_Design", "Distributed_Cognition_&_Context_Orchestration",
-     "Wire-level mechanics of the handoff moment: protocol messages between agents, "
-     "working state serialization, and acknowledgement retries when a stage passes "
-     "control."),
-    ("Recursive_Self_Audit_Engine", "Axiomatic_Logic_&_Audit_Systems",
-     "A narrow audit loop that replays its own output, checks internal contradictions "
-     "once more, and logs each reasoning step it distrusts."),
-    ("Competitive_Intelligence_Synthesis", "Adversarial_Systems_Thinking",
-     "Collects competitor signals into briefing decks: weak points noted, systemic "
-     "vulnerabilities listed, and business strategy assumptions summarised for the "
-     "red team."),
-    ("Code_To_Methodology_Translator", "Academic_Research_Synthesis_Pipeline",
-     "Single-purpose converter that rewrites experiment scripts as methods prose and "
-     "results sections for a journal manuscript appendix; no end-to-end formatting."),
-    ("Conversion_Funnel_Architecture", "Revenue_Generation_&_Commercial_Logic",
-     "Drop-off diagrams for the purchase path: funnel stages where a sales conversation "
-     "stalls, closing friction, and the deal leaks that kill readiness."),
-    ("Cultural_Signal_Detection", "Cross_Cultural_Localization_Intelligence",
-     "Detects background cues in user text: norms, idiom markers, and tone flags, "
-     "reported but never acted on."),
-    ("Branch_Narrative_Architect", "Interactive_Narrative_&_Fiction_Engine",
-     "Diagrams branching plotlines on a whiteboard: story forks, reader choice charts, "
-     "world notes; no runtime behaviour."),
-    ("Dynamic_Difficulty_Calibration", "Interactive_Pedagogy_&_Gamification",
-     "Knob-turning for difficulty alone: adjust challenge after every answer, with no "
-     "tutoring frame and no play structure around it."),
-    ("Character_Voice_Synthesis", "Persona_&_Narrative_Synthesis",
-     "Mimics a character's speech habits and temperament on demand, holding no "
-     "backstory and no conversation memory."),
-    ("Prompt_Iteration_Tracker", "Self_Evolution_&_Refinement",
-     "Spreadsheet discipline for prompting attempts: learning notes on past failures, "
-     "tracking what made answers better, without any revising loop attached."),
-    ("Citation_Integrity_Scanner", "Academic_Insight_&_Forensics",
-     "Checks the reference lists of a scholarly study for retracted or fabricated "
-     "citations; unstated assumptions and methodological weaknesses stay out of scope."),
-    ("Stakeholder_Request_Relay", "Cognitive_Architecture_&_Routing",
-     "Forwards each arriving ask to a named owner list: intent noted, triage skipped, "
-     "no handling strategy chosen."),
-]
-
-_R2_LOW = [
-    "Mycological_Network_Design",
-    "Trophic_Cascade_Analyzer",
-    "Glacial_Erosion_Patience_Model",
-    "Coral_Reef_Ecosystem_Modeler",
-    "Bioluminescence_Signal_Design",
-    "Tidal_Resonance_Mapping",
-    "Murmuration_Flock_Choreography",
-    "Permafrost_Core_Sampling",
-    "Volcanic_Vent_Cartography",
-    "Lichen_Symbiosis_Planner",
-    "Aurora_Particle_Forecasting",
-    "Mangrove_Root_Lattice_Design",
-]
-
-_R3_HIGH = [
-    ("Intent_Classifier_Microservice", "Cognitive_Architecture_&_Routing"),
-    ("Claim_Consistency_Checker", "Axiomatic_Logic_&_Audit_Systems"),
-    ("Peer_Review_Rebuttal_Writer", "Academic_Insight_&_Forensics"),
-    ("Quiz_Difficulty_Scheduler", "Interactive_Pedagogy_&_Gamification"),
-    ("Dialogue_Style_Mimic", "Persona_&_Narrative_Synthesis"),
-    ("Field_Extraction_Templater", "Data_Structuring_&_Engineering"),
-    ("Loot_Table_Balancer", "Game_Design_&_Mechanics"),
-    ("Design_Token_Exporter", "UI_UX_&_Frontend_Engineering"),
-    ("Regulatory_Cost_Estimator", "Policy_Impact_&_Externalities"),
-    ("Encounter_Scene_Generator", "RPG_Narrative_Director"),
-    ("Horoscope_Chart_Caster", "Occult_&_Ritual_Systems"),
-    ("Message_Bus_Relay_Design", "Distributed_Cognition_&_Context_Orchestration"),
-    ("Rival_Move_Predictor", "Adversarial_Systems_Thinking"),
-    ("Results_Section_Formatter", "Academic_Research_Synthesis_Pipeline"),
-    ("Upsell_Script_Composer", "Revenue_Generation_&_Commercial_Logic"),
-    ("Dialect_Glossary_Builder", "Cross_Cultural_Localization_Intelligence"),
-    ("Failure_Postmortem_Logger", "Self_Evolution_&_Refinement"),
-    ("Choice_Graph_Compiler", "Interactive_Narrative_&_Fiction_Engine"),
-    ("Landing_Page_Split_Tester", "Minimalist_Entrepreneurship_Execution"),
-    ("Foley_Cue_Sequencer", "Sensory_Audio_Design"),
-    ("Asset_Version_Differ", "Meta_Data_&_Engineering"),
-    ("Decision_Matrix_Renderer", "Strategic_Decision_Frameworks"),
-    ("Watchdog_Recovery_Daemon", "Autonomous_System_Engineering"),
-    ("Moodboard_Collage_Assembler", "Visual_Architecture"),
-    ("Habit_Streak_Mechanic", "Product_Psychology"),
-    ("Waitlist_Referral_Engine", "Community_Led_Business_Inception"),
-    ("Context_Digest_Compactor", "Prompt_Compression_&_Token_Economy"),
-    ("Sentiment_Deescalation_Scripter", "Emotional_Intelligence_Modeling"),
-    ("Clause_Risk_Highlighter", "Legal_Reasoning_&_Compliance"),
-    ("Bedside_Manner_Coach", "Healthcare_Communication_Protocols"),
-]
-
-_R3_LOW = [
-    "Abyssal_Current_Mapper", "Sporeprint_Archive_Method", "Foliage_Canopy_Acoustics",
-    "Meander_Oxbow_Simulation", "Karst_Cavern_Survey", "Pollinator_Route_Economics",
-    "Sediment_Varve_Chronology", "Riparian_Buffer_Planner", "Monsoon_Cell_Tracker",
-    "Basalt_Column_Tessellation", "Peat_Bog_Preservation", "Chaparral_Fire_Succession",
-    "Estuary_Salinity_Gradient", "Drumlin_Field_Morphology", "Cloud_Forest_Epiphyte_Census",
-    "Tundra_Thaw_Dynamics", "Barrier_Island_Migration", "Limestone_Pavement_Ecology",
-    "Kelp_Forest_Canopy_Modeler", "Firefly_Synchrony_Studies", "Alpine_Scree_Stabilization",
-    "Delta_Distributary_Network", "Savanna_Termite_Mounds", "Fjord_Sill_Hydrography",
-    "Prairie_Root_Depth_Atlas", "Atoll_Lagoon_Circulation", "Bog_Iron_Formation",
-    "Cenote_Light_Column_Survey", "Moss_Bank_Hydrology", "Whale_Fall_Succession",
-]
+def _json(name: str) -> object:
+    return json.loads(_text(name))
 
 
 def build_fixture_library(with_summary: bool = True) -> KnowledgeLibrary:
-    """The shipped 36-category / 190-skill library (summary optional)."""
-    categories = tuple(
-        Category(
-            name=name,
-            description=description,
-            skills=tuple(Skill(name=s, description=d) for s, d in skills),
-            abstraction_level=level,
-            complement=complement,
-        )
-        for name, level, complement, description, skills in _LIBRARY_TABLE
-    )
-    lib = KnowledgeLibrary(
-        categories=categories,
-        provenance={"source": "sdsr fixture library", "version": "1"},
-    )
-    if with_summary:
-        lib = build_summary(lib, routing_roles=dict(_ROUTING_ROLES))
-    return lib
+    """The 36-category / 190-skill library (summary optional)."""
+    return deserialize_library(_text("library_r1.json" if with_summary else "library_r1_bare.json"))
 
 
 def build_fixture_questions() -> list[Question]:
     """Twenty questions; 17 carry a designated secondary target."""
-    return [
-        Question(id=qid, text=text, primary_target=primary, secondary_target=secondary)
-        for qid, text, primary, secondary in _QUESTIONS
-    ]
+    return decode_questions(_json("questions_20.json"))
 
 
 def fixture_prompt_config() -> PromptConfig:
-    return PromptConfig(high_priority=tuple(
-        HighPriorityEntry(target=t, confused_with=c, confusion_type=k)
-        for t, c, k in _HIGH_PRIORITY
-    ))
-
-
-def _spaced(name: str) -> str:
-    return name.replace("_", " ")
-
-
-def _template_skills(name: str, count: int) -> tuple[Skill, ...]:
-    # Distractor skills are template-fill by design: deterministic noise,
-    # not curated content.
-    base = "_".join(name.split("_")[:2])
-    topic = _spaced(name).lower()
-    templates = [
-        (f"{base}_Primer", f"Starter walkthrough for {topic}."),
-        (f"{base}_Playbook", f"Worked routines for {topic}."),
-        (f"{base}_Checklist", f"Field checklist covering {topic}."),
-    ]
-    return tuple(Skill(name=n, description=d) for n, d in templates[:count])
+    return decode(PromptConfig, _json("prompts.json"))
 
 
 def round2_config() -> RoundConfig:
     """24 distractors (12 high, 12 low), three skills each: 60/262 totals."""
-    specs = [
-        DistractorSpec(tier="high", name=name, description=desc, target=target,
-                       skills=_template_skills(name, 3))
-        for name, target, desc in _R2_HIGH
-    ] + [
-        DistractorSpec(
-            tier="low", name=name,
-            description=(f"Niche naturalist domain: {_spaced(name).lower()} observation "
-                         "notes, seasonal patterns, and survey etiquette."),
-            skills=_template_skills(name, 3))
-        for name in _R2_LOW
-    ]
-    return RoundConfig(
-        round_id=2, distractors=tuple(specs),
-        expected_categories=60, expected_skills=262)
+    return decode(RoundConfig, _json("round2_specs.json"))
 
 
 def round3_config() -> RoundConfig:
-    """60 more distractors on top of round 2.
-
-    The stated expected category total (119) disagrees with the
-    arithmetic (60 + 60 = 120) on purpose: expansion reports the
-    mismatch instead of hiding it.  Skill counts are tuned so the
-    expected skill total (380) does hold.
-    """
-    high = [
-        DistractorSpec(
-            tier="high", name=name, target=target,
-            description=(f"Narrowly scoped helper adjacent to {_spaced(target)}: one "
-                         "mechanism lifted out, no governing frame around it."),
-            skills=_template_skills(name, 2))
-        for name, target in _R3_HIGH
-    ]
-    low = [
-        DistractorSpec(
-            tier="low", name=name,
-            description=(f"Pure-volume naturalist entry: {_spaced(name).lower()} notes "
-                         "and field observations."),
-            skills=_template_skills(name, 1 if i >= len(_R3_LOW) - 2 else 2))
-        for i, name in enumerate(_R3_LOW)
-    ]
-    return RoundConfig(
-        round_id=3, distractors=tuple(high + low),
-        expected_categories=119, expected_skills=380)
-
-
-def _first_skill(lib: KnowledgeLibrary, category: str) -> str:
-    cat = lib.category(category)
-    return cat.skills[0].name if cat is not None and cat.skills else "unknown"
+    """60 more distractors; states 119 expected categories against 120 on purpose."""
+    return decode(RoundConfig, _json("round3_specs.json"))
 
 
 def round1_selection_fixture(condition: str) -> SelectionSet:
-    """Hand-frozen round-1 hit matrices: A and C score 20/2, B 20/3.
-
-    Every primary is correct; conditions differ only in which keyed
-    secondaries they recover (A: Q05+Q10, B: Q05+Q10+Q18, C: Q05+Q10),
-    mirroring a run where condition B picked up one extra pairing.
-    Which questions carry the hits is an illustrative choice; scoring
-    depends only on the counts.
-    """
+    """Hand-frozen round-1 hit matrices: A and C score 20/2, B 20/3."""
     condition = condition.strip().upper()
     if condition not in ("A", "B", "C"):
         raise ValueError(f"round-1 fixtures exist for conditions A, B, C; got {condition!r}")
-    lib = build_fixture_library(with_summary=False)
-    secondary_hits = {"A": (5, 10), "B": (5, 10, 18), "C": (5, 10)}[condition]
-    selections = []
-    for q in build_fixture_questions():
-        secondary = None
-        if q.id in secondary_hits and q.secondary_target is not None:
-            secondary = Selection(
-                category=q.secondary_target, skill=_first_skill(lib, q.secondary_target))
-        elif q.id == 13:
-            # A realistic neighbour miss: plausible but not the keyed pairing.
-            secondary = Selection(
-                category="Product_Psychology", skill=_first_skill(lib, "Product_Psychology"))
-        selections.append(QuestionSelection(
-            question_id=q.id,
-            primary=Selection(
-                category=q.primary_target, skill=_first_skill(lib, q.primary_target)),
-            secondary=secondary,
-        ))
-    return SelectionSet(selections=tuple(selections))
-
-
-_JUDGMENT_TEXT = """IN THE DISTRICT COURT OF EXAMPLESHIRE
-Case 2025-CV-0414: Aldgate Cold Logistics Ltd v Brampton Freight plc
-Before: District Judge Harrow
-
-CLAIMS OF THE CLAIMANT
-1. The claimant contracted the respondent to carry refrigerated produce from
-   Aldgate depot to three retail grocers between 2 and 4 February 2025.
-2. The trailer's cooling unit was switched off for eleven hours in transit.
-3. The entire consignment spoiled and was condemned on arrival.
-4. The claimant quantifies its loss at 184,000: 131,000 for the consignment,
-   38,000 for lost resale margin, and 15,000 for disposal and inspection.
-5. Paragraphs 4 to 7 of the schedule itemise the quantum of damages claimed,
-   including the disputed resale margin.
-6. The claimant relies on the carriage contract, clause 9 (temperature control).
-7. Interest is claimed from the date of condemnation.
-
-RESPONSE OF THE RESPONDENT
-8. The respondent admits carriage but denies the unit was switched off,
-   asserting a latent defect in the refrigeration compressor.
-9. The respondent disputes the resale margin as speculative and says disposal
-   costs were inflated by the claimant's choice of contractor.
-10. In the alternative, the respondent relies on clause 14 (limitation of
-    liability) to cap any award at 90,000.
-
-REASONING OF THE COURT
-11. The temperature telemetry shows a manual shutdown command at 21:14, which
-    the court prefers over the compressor-defect hypothesis.
-12. Clause 14 cannot be read to cover deliberate operation contrary to
-    clause 9; the cap does not apply.
-13. On the quantum of damages the court adopts the claimant's schedule at
-    paragraphs 4 to 7, save that the resale margin is reduced to 24,000 as
-    only two of three grocers evidenced firm orders.
-14. The disposal and inspection figure is supported by invoices and allowed
-    in full.
-
-HOLDING AND ORDERS
-15. Judgment for the claimant in the sum of 170,000 plus interest at 6
-    percent from 5 February 2025.
-16. The respondent shall pay the claimant's costs, to be assessed if not
-    agreed.
-"""
-
-_JUDGMENT_RULES = [
-    SectionRule(role="claimant", header_pattern=r"^CLAIMS OF THE CLAIMANT"),
-    SectionRule(role="respondent", header_pattern=r"^RESPONSE OF THE RESPONDENT"),
-    SectionRule(role="reasoning", header_pattern=r"^REASONING OF THE COURT"),
-    SectionRule(role="holding", header_pattern=r"^HOLDING AND ORDERS"),
-]
-
-_JUDGMENT_DIGESTS = {
-    "claimant": ("Spoiled refrigerated consignment after an in-transit cooling shutdown; "
-                 "loss of 184,000 itemised at schedule paragraphs 4 to 7."),
-    "reasoning": ("Telemetry shows a manual shutdown, the liability cap does not apply, "
-                  "and the damages schedule is adopted with the resale margin reduced."),
-}
-
-_JUDGMENT_REFS = [
-    CrossReference(
-        from_section="s4", to_section="s2", locator="paragraphs 4-7",
-        trigger="quantum of damages assessment"),
-]
+    return decode(SelectionSet, _json(f"selections_r1_{condition}.json"))
 
 
 def fixture_judgment() -> tuple[str, list[SectionRule], dict[str, str], list[CrossReference]]:
     """Document text, sectioning rules, digests, and cross-references."""
-    return _JUDGMENT_TEXT, list(_JUDGMENT_RULES), dict(_JUDGMENT_DIGESTS), list(_JUDGMENT_REFS)
-
-
-def write_fixture_files(out_dir: str | Path) -> list[Path]:
-    """Materialize every fixture as a file; returns the paths written."""
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    written: list[Path] = []
-
-    def _write(name: str, text: str) -> None:
-        path = out / name
-        path.write_text(text, encoding="utf-8")
-        written.append(path)
-
-    _write("library_r1.json", serialize_library(build_fixture_library()))
-    _write("library_r1_bare.json",
-           serialize_library(build_fixture_library(with_summary=False)))
-    _write("questions_20.json", questions_to_json(build_fixture_questions()))
-    _write("prompts.json", json.dumps(
-        prompt_config_to_dict(fixture_prompt_config()), ensure_ascii=False, indent=2) + "\n")
-    _write("round2_specs.json", json.dumps(
-        round_config_to_dict(round2_config()), ensure_ascii=False, indent=2) + "\n")
-    _write("round3_specs.json", json.dumps(
-        round_config_to_dict(round3_config()), ensure_ascii=False, indent=2) + "\n")
-    for condition in ("A", "B", "C"):
-        _write(f"selections_r1_{condition}.json", json.dumps(
-            selection_set_to_dict(round1_selection_fixture(condition)),
-            ensure_ascii=False, indent=2) + "\n")
-    text, rules, digests, refs = fixture_judgment()
-    _write("judgment.txt", text)
-    _write("judgment_rules.json", json.dumps(
-        [{"role": r.role, "header_pattern": r.header_pattern} for r in rules],
-        ensure_ascii=False, indent=2) + "\n")
-    _write("judgment_digests.json", json.dumps(digests, ensure_ascii=False, indent=2) + "\n")
-    _write("judgment_refs.json", json.dumps(
-        [{"from_section": r.from_section, "to_section": r.to_section,
-          "locator": r.locator, "trigger": r.trigger} for r in refs],
-        ensure_ascii=False, indent=2) + "\n")
-    return written
-
-
-def main(argv: list[str] | None = None) -> int:
-    args = sys.argv[1:] if argv is None else argv
-    out_dir = args[0] if args else "fixtures"
-    paths = write_fixture_files(out_dir)
-    for path in paths:
-        print(path)
-    return 0
-
-
-if __name__ == "__main__":
-    raise SystemExit(main())
+    return (_text("judgment.txt"),
+            list(decode(tuple[SectionRule, ...], _json("judgment_rules.json"))),
+            decode(dict[str, str], _json("judgment_digests.json")),
+            list(decode(tuple[CrossReference, ...], _json("judgment_refs.json"))))

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import partial
+from string import Formatter
 
 from .errors import EmptyLibrary
 from .library import (
@@ -89,7 +90,19 @@ class PromptConfig:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "high_priority", tuple(self.high_priority))
-        if "{high_priority}" not in self.extended_template:
+        # expand_extended_prompt fills two fields, neither with a conversion or format spec
+        try:
+            placeholders = {
+                "{" + name + (f"!{conversion}" if conversion else "")
+                + (f":{spec}" if spec else "") + "}"
+                for _, name, spec, conversion in Formatter().parse(self.extended_template)
+                if name is not None}
+        except ValueError as exc:
+            raise ValueError(f"extended_template: {exc}") from None
+        unknown = sorted(placeholders - {"{priority_rule}", "{high_priority}"})
+        if unknown:
+            raise ValueError(f"extended_template: unknown placeholder {unknown[0]}")
+        if "{high_priority}" not in placeholders:
             raise ValueError("extended_template must contain the {high_priority} placeholder")
 
 
@@ -102,19 +115,6 @@ class GuidanceCondition:
 
 # perfbench/inputs.py imports this name.
 prompt_config_from_dict = partial(decode, PromptConfig)
-
-
-def prompt_config_to_dict(config: PromptConfig) -> dict:
-    return {
-        "minimal_template": config.minimal_template,
-        "extended_template": config.extended_template,
-        "priority_rule": config.priority_rule,
-        "high_priority": [
-            {"target": e.target, "confused_with": e.confused_with,
-             "confusion_type": e.confusion_type}
-            for e in config.high_priority
-        ],
-    }
 
 
 def build_summary(

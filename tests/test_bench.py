@@ -8,7 +8,6 @@ from sdsr.bench import (
     lint_questions,
     parse_response,
     questions_from_json,
-    questions_to_json,
     results_to_csv,
     run_benchmark,
     score_responses,
@@ -189,9 +188,6 @@ class TestQuestionLint:
     def test_short_fragments_do_not_count(self):
         ok = Question(id=1, text="a big cat sat", primary_target="Cat_&_Dog")
         assert lint_questions([ok]) == []
-
-    def test_questions_json_round_trip(self, questions):
-        assert questions_from_json(questions_to_json(questions)) == questions
 
     def test_duplicate_ids_are_rejected(self):
         # Two key entries for Q1 would score one correct answer as 2.0 / 2.0.

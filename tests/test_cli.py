@@ -5,15 +5,15 @@ from pathlib import Path
 import pytest
 
 from sdsr.cli import dispatch, main
-from sdsr.fixtures import write_fixture_files
 from sdsr.library import deserialize_library
+
+COMMITTED_FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
 
 @pytest.fixture(scope="module")
-def fixture_dir(tmp_path_factory):
-    out = tmp_path_factory.mktemp("fixtures")
-    write_fixture_files(out)
-    return out
+def fixture_dir():
+    """The committed fixtures, read in place: no test may write here."""
+    return COMMITTED_FIXTURES
 
 
 def run(argv):
@@ -60,6 +60,64 @@ class TestUsage:
         outcome = run(["--help"])
         assert outcome.exit_code == 0
         capsys.readouterr()
+
+
+
+def error_lines(capsys):
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    return [line for line in err.splitlines() if line.startswith("ERROR")]
+
+
+class TestReadWriteFailures:
+    def test_condition_out_dir_naming_a_file_is_io_failure(self, fixture_dir, tmp_path, capsys):
+        taken = tmp_path / "taken"
+        taken.write_text("", encoding="utf-8")
+        outcome = run(["condition", "--version", "A", "--in", str(fixture_dir / "library_r1.json"),
+                       "--out-dir", str(taken)])
+        assert outcome.exit_code == 2
+        [line] = error_lines(capsys)
+        assert line.startswith(f"ERROR IoFailure: cannot write to {taken}: ")
+
+    def test_bench_out_dir_naming_a_file_is_io_failure(self, fixture_dir, tmp_path, capsys):
+        taken = tmp_path / "taken"
+        taken.write_text("", encoding="utf-8")
+        outcome = run(["bench", "--conditions", "A", "--lib", str(fixture_dir / "library_r1.json"),
+                       "--questions", str(fixture_dir / "questions_20.json"),
+                       "--out-dir", str(taken)])
+        assert outcome.exit_code == 2
+        [line] = error_lines(capsys)
+        assert line.startswith(f"ERROR IoFailure: cannot write to {taken}: ")
+
+    def test_prompts_file_that_is_not_utf8_is_malformed(self, fixture_dir, tmp_path, capsys):
+        prompts = tmp_path / "prompts.json"
+        prompts.write_bytes(b'{"a": "\xff"}')
+        outcome = run(["condition", "--version", "C", "--in", str(fixture_dir / "library_r1.json"),
+                       "--out-dir", str(tmp_path / "out"), "--prompts", str(prompts)])
+        assert outcome.exit_code == 1
+        [line] = error_lines(capsys)
+        assert line.startswith(f"ERROR MalformedFile: {prompts}: not UTF-8: ")
+
+    def test_library_file_with_a_bad_byte_is_malformed(self, fixture_dir, tmp_path, capsys):
+        data = (fixture_dir / "library_r1.json").read_bytes()
+        library = tmp_path / "library.json"
+        library.write_bytes(data.replace(b"Intent_Router", b"Intent_\xe9Router", 1))
+        outcome = run(["validate", "--in", str(library)])
+        assert outcome.exit_code == 1
+        [line] = error_lines(capsys)
+        assert line.startswith(f"ERROR MalformedFile: {library}: not UTF-8: ")
+
+    def test_missing_default_prompts_file_is_io_failure(self, fixture_dir, tmp_path,
+                                                        monkeypatch, capsys):
+        import sdsr.cli as cli_module
+
+        monkeypatch.setattr(cli_module, "DEFAULT_PROMPTS", tmp_path / "gone" / "prompts.json")
+        outcome = run(["condition", "--version", "C", "--in", str(fixture_dir / "library_r1.json"),
+                       "--out-dir", str(tmp_path / "out")])
+        assert outcome.exit_code == 2
+        [line] = error_lines(capsys)
+        assert line.startswith("ERROR IoFailure: cannot read ")
+        assert "prompts.json" in line
 
 
 class TestScore:
@@ -416,9 +474,6 @@ def test_main_prints_payload_and_returns_code(fixture_dir, capsys):
     captured = capsys.readouterr()
     assert code == 0
     assert captured.out == "no findings\n"
-
-
-COMMITTED_FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
 
 class TestPinnedOutput:

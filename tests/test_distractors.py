@@ -1,5 +1,3 @@
-import json
-
 import pytest
 
 from sdsr.distractors import (
@@ -9,12 +7,10 @@ from sdsr.distractors import (
     generate_distractors,
     inject_interleaved,
     interleave_positions,
-    round_config_to_dict,
 )
 from sdsr.errors import NameCollision, UnknownTarget
 from sdsr.fixtures import round2_config, round3_config
 from sdsr.library import Category, KnowledgeLibrary, Skill, validate_library
-from sdsr.wire import decode
 
 
 def spacing_report(categories):
@@ -109,11 +105,6 @@ class TestSpecInvariants:
     def test_round_config_requires_distractors_past_round_one(self):
         with pytest.raises(ValueError):
             RoundConfig(round_id=2, distractors=())
-
-    def test_round_config_roundtrips_through_json(self):
-        cfg = round2_config()
-        again = decode(RoundConfig, json.loads(json.dumps(round_config_to_dict(cfg))))
-        assert again == cfg
 
 
 class TestInjectInterleaved:

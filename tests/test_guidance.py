@@ -1,5 +1,3 @@
-import json
-
 import pytest
 
 from sdsr.errors import EmptyLibrary
@@ -10,11 +8,9 @@ from sdsr.guidance import (
     build_condition,
     build_summary,
     expand_extended_prompt,
-    prompt_config_to_dict,
     strip_summary,
 )
 from sdsr.library import Category, KnowledgeLibrary, Skill, validate_library
-from sdsr.wire import decode
 
 TABLE_TARGETS = [
     "Axiomatic_Logic_&_Audit_Systems",
@@ -140,11 +136,19 @@ class TestPromptConfig:
         with pytest.raises(ValueError):
             PromptConfig(extended_template="no placeholder here")
 
+    @pytest.mark.parametrize("template", [
+        "{high_priority} {oops}", "{high_priority} {0}", "{high_priority} {}",
+        "{high_priority!r}", "{high_priority:>9}", "{high_priority.upper}",
+        "{{high_priority}}", "{high_priority} }", "{high_priority} {",
+    ])
+    def test_extended_template_takes_only_its_two_plain_fields(self, template):
+        with pytest.raises(ValueError, match="extended_template"):
+            PromptConfig(extended_template=template)
+
+    def test_extended_template_may_quote_braces(self):
+        config = PromptConfig(extended_template="{{x}} {priority_rule} {high_priority}")
+        assert expand_extended_prompt(config).startswith("{x} Priority rule:")
+
     def test_entry_must_not_confuse_itself(self):
         with pytest.raises(ValueError):
             HighPriorityEntry(target="X", confused_with="X", confusion_type="t")
-
-    def test_roundtrips_through_json(self):
-        config = fixture_prompt_config()
-        again = decode(PromptConfig, json.loads(json.dumps(prompt_config_to_dict(config))))
-        assert again == config

@@ -525,6 +525,10 @@ def _set(*path_and_value):
      "high_priority[0].confused_with: missing required key"),
     ("prompts.json", _set("extended_template", "no placeholder"),
      "extended_template must contain the {high_priority} placeholder"),
+    ("prompts.json", _set("extended_template", "x {high_priority} {oops}"),
+     "extended_template: unknown placeholder {oops}"),
+    ("prompts.json", _set("extended_template", "x {high_priority} }"),
+     "extended_template: Single '}' encountered in format string"),
     ("round2_specs.json", lambda data: {"round_id": 2, "distractors": [{}]},
      "distractors[0].tier: missing required key"),
     ("round2_specs.json", _set("distractors", 0, "theta", "0.3"),
@@ -539,7 +543,8 @@ def _set(*path_and_value):
 ], ids=["question-id-null", "question-id-string", "selection-question-id-missing",
         "selection-secondary-list", "rule-pattern-missing", "rule-pattern-bad-regex",
         "ref-to-section-missing", "digests-list", "prompt-confused-with-missing",
-        "prompt-placeholder-missing", "spec-tier-missing", "spec-theta-string",
+        "prompt-placeholder-missing", "prompt-placeholder-unknown",
+        "prompt-brace-unbalanced", "spec-tier-missing", "spec-theta-string",
         "skill-name-integer", "provenance-string"])
 def test_a_malformed_input_file_exits_one_naming_the_key_path(name, change, error, workdir):
     original = json.loads((FIXTURES / name).read_text(encoding="utf-8"))
