@@ -222,21 +222,6 @@ def score_responses(sel: SelectionSet, key: Sequence[Question]) -> ScoreReport:
     )
 
 
-def selection_set_to_dict(sel: SelectionSet) -> dict:
-    return {
-        "selections": [
-            {
-                "question_id": s.question_id,
-                "primary": {"category": s.primary.category, "skill": s.primary.skill},
-                "secondary": (None if s.secondary is None else
-                              {"category": s.secondary.category, "skill": s.secondary.skill}),
-            }
-            for s in sel.selections
-        ],
-        "flags": list(sel.flags),
-    }
-
-
 def run_benchmark(
     conditions: Sequence[GuidanceCondition],
     questions: Sequence[Question],

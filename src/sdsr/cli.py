@@ -14,7 +14,7 @@ import sys
 from dataclasses import dataclass
 from pathlib import Path
 
-from . import bench, corpus, distractors, engine, guidance, prefix
+from . import bench, corpus, distractors, engine, fixtures, guidance, prefix
 from .errors import IoFailure, MalformedFile, SdsrError, TransportError
 from .library import (
     Finding,
@@ -24,7 +24,7 @@ from .library import (
     serialize_library,
     validate_library,
 )
-from .wire import decode
+from .wire import decode, encode
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1
@@ -32,7 +32,7 @@ EXIT_USAGE = 2
 EXIT_TRANSPORT = 3
 
 # The prompt config that --prompts reads when not given: the checkout's fixture file.
-DEFAULT_PROMPTS = Path(__file__).resolve().parents[2] / "fixtures" / "prompts.json"
+DEFAULT_PROMPTS = fixtures.FIXTURES_DIR / "prompts.json"
 
 
 @dataclass(frozen=True)
@@ -50,11 +50,15 @@ def _read_text(path: str) -> str:
         raise MalformedFile(f"{path}: not UTF-8: {exc}") from None
 
 
-def _load_json(path: str) -> object:
+def _parse_json(path: str, text: str) -> object:
     try:
-        return json.loads(_read_text(path))
+        return json.loads(text)
     except json.JSONDecodeError as exc:
         raise MalformedFile(f"{path}: invalid JSON: {exc}") from None
+
+
+def _load_json(path: str) -> object:
+    return _parse_json(path, _read_text(path))
 
 
 def _write_text(path: str | Path, text: str) -> None:
@@ -84,10 +88,6 @@ def _make_backend(name: str, config: dict):
     raise SdsrError(f"unknown backend {name!r}")
 
 
-def _findings_payload(findings: list[Finding]) -> list[dict]:
-    return [{"severity": f.severity, "code": f.code, "message": f.message} for f in findings]
-
-
 def _print_findings_stderr(findings: list[Finding]) -> None:
     for f in findings:
         if f.severity != SEVERITY_ERROR:
@@ -107,7 +107,7 @@ def _cmd_validate(args) -> CommandOutcome:
     lib = _load_library(args.infile, args.body_key)
     findings = validate_library(lib, strict=args.strict, hint_max=args.hint_max)
     table = "\n".join(f"{f.severity} {f.code}: {f.message}" for f in findings) or "no findings"
-    out = _emit(args, {"findings": _findings_payload(findings)}, table)
+    out = _emit(args, {"findings": encode(findings)}, table)
     code = EXIT_VALIDATION if has_errors(findings) else EXIT_OK
     return CommandOutcome(code, out)
 
@@ -178,7 +178,7 @@ def _cmd_expand(args) -> CommandOutcome:
         "out": args.outfile,
         "categories": len(result.library.categories),
         "skills": result.library.total_skills,
-        "findings": _findings_payload(list(result.report)),
+        "findings": encode(result.report),
     }
     table = (f"wrote {args.outfile}: {payload['categories']} categories, "
              f"{payload['skills']} skills")
@@ -200,11 +200,7 @@ def _cmd_route(args) -> CommandOutcome:
         threshold=args.threshold,
     )
     result = engine.route_tier1(request, backend)
-    payload = {
-        "selected": [{"file_id": sf.file_id, "score": sf.score} for sf in result.selected],
-        "expanded_scope": result.expanded_scope,
-        "trace": list(result.trace),
-    }
+    payload = encode(result)  # selected, expanded_scope, trace
     table = "\n".join(f"{sf.file_id}\t{sf.score:.4f}" for sf in result.selected)
     if result.expanded_scope:
         table += "\n(expanded scope: no file met the threshold)"
@@ -223,7 +219,7 @@ def _cmd_select(args) -> CommandOutcome:
         selection = engine.apply_complement_pass(selection, libraries[0])
     for flag in selection.flags:
         print(f"WARNING {flag}", file=sys.stderr)
-    payload = bench.selection_set_to_dict(selection)
+    payload = encode(selection)
     table = bench.format_selections(selection) or "(no selection)"
     return CommandOutcome(EXIT_OK, _emit(args, payload, table))
 
@@ -265,7 +261,7 @@ def _cmd_score(args) -> CommandOutcome:
     key = bench.decode_questions(_load_json(args.key))
     raw = _read_text(args.selections)
     if raw.lstrip().startswith(("{", "[")):
-        data = _load_json(args.selections)
+        data = _parse_json(args.selections, raw)
         if type(data) is list:  # the selections alone, without flags
             data = {"selections": data}
         selection = decode(engine.SelectionSet, data)
@@ -303,8 +299,10 @@ def _cmd_structure(args) -> CommandOutcome:
         refs = decode(tuple[corpus.CrossReference, ...], _load_json(args.refs)) if args.refs else ()
         summary, findings = corpus.build_doc_summary(doc, digests, refs, budget=args.budget)
         _print_findings_stderr(findings)
-    _write_text(args.outfile, json.dumps(
-        corpus.document_to_dict(doc, summary), ensure_ascii=False, indent=2) + "\n")
+    sidecar = encode(doc)
+    if summary is not None:
+        sidecar["summary"] = encode(summary)
+    _write_text(args.outfile, json.dumps(sidecar, ensure_ascii=False, indent=2) + "\n")
     payload = {
         "out": args.outfile,
         "sections": [{"section_id": s.section_id, "role": s.role} for s in doc.sections],

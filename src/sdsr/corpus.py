@@ -19,6 +19,7 @@ from .errors import DanglingReference, EmptyDocument
 from .library import Finding, SEVERITY_WARNING, tokenize
 from .engine import weighted_overlap
 from .prefix import estimate_tokens
+from .wire import encode
 
 SECTION_ROLES = ("claimant", "respondent", "reasoning", "holding", "other")
 
@@ -152,8 +153,9 @@ def build_doc_summary(
         cross_references=tuple(refs),
         token_estimate=0,
     )
-    estimate = estimate_tokens(json.dumps(
-        _summary_payload(summary), ensure_ascii=False, separators=(",", ":")))
+    payload = encode(summary)
+    del payload["token_estimate"]  # the estimate leaves itself out
+    estimate = estimate_tokens(json.dumps(payload, ensure_ascii=False, separators=(",", ":")))
     summary = replace(summary, token_estimate=estimate)
     findings: list[Finding] = []
     if estimate > budget:
@@ -191,47 +193,3 @@ def resolve_coload(query: str, summary: DocSummary, doc: SectionedDocument) -> s
             best_id = sec.section_id
             best_score = score
     return {best_id} if best_id is not None else set()
-
-
-# --- JSON interchange (the .sdsr.json sidecar format) ------------------
-
-
-def _summary_payload(summary: DocSummary) -> dict:
-    return {
-        "doc_id": summary.doc_id,
-        "claims_digest": summary.claims_digest,
-        "reasoning_digest": summary.reasoning_digest,
-        "cross_references": [
-            {
-                "from_section": r.from_section,
-                "to_section": r.to_section,
-                "locator": r.locator,
-                "trigger": r.trigger,
-            }
-            for r in summary.cross_references
-        ],
-    }
-
-
-def summary_to_dict(summary: DocSummary) -> dict:
-    payload = _summary_payload(summary)
-    payload["token_estimate"] = summary.token_estimate
-    return payload
-
-
-def document_to_dict(doc: SectionedDocument, summary: DocSummary | None = None) -> dict:
-    out: dict = {
-        "doc_id": doc.doc_id,
-        "sections": [
-            {
-                "section_id": s.section_id,
-                "role": s.role,
-                "text": s.text,
-                "char_span": list(s.char_span),
-            }
-            for s in doc.sections
-        ],
-    }
-    if summary is not None:
-        out["summary"] = summary_to_dict(summary)
-    return out

@@ -177,7 +177,6 @@ def build_condition(
     condition: str,
     prompts: PromptConfig | None = None,
     hint_max: int = DEFAULT_HINT_MAX,
-    body_key: str | None = None,
 ) -> GuidanceCondition:
     """Materialize one condition as an artifact/prompt pair.
 
@@ -195,8 +194,7 @@ def build_condition(
         variant = build_summary(lib, hint_max=hint_max)
     else:
         variant = strip_summary(lib)
-    kwargs = {} if body_key is None else {"body_key": body_key}
-    artifact = serialize_library(variant, **kwargs).encode("utf-8")
+    artifact = serialize_library(variant).encode("utf-8")
     if condition in ("C", "D"):
         prompt = expand_extended_prompt(prompts)
     else:

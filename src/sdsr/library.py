@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 from .errors import MalformedFile
-from .wire import decode
+from .wire import decode, encode
 
 SEVERITY_ERROR = "ERROR"
 SEVERITY_WARNING = "WARNING"
@@ -90,10 +90,10 @@ class Category:
 
     name: str
     description: str = field(default="", metadata={"key": "category_description"})
-    skills: tuple[Skill, ...] = ()
     abstraction_level: str | None = None
     complement: str | None = None
     distractor_tier: str | None = None
+    skills: tuple[Skill, ...] = ()  # last, as on the wire
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "skills", tuple(self.skills))
@@ -129,7 +129,7 @@ class SummaryBlock:
     @cached_property
     def compact_length(self) -> int:
         # Length of the compact JSON form, computed once; not a field, so == ignores it.
-        return len(json.dumps(summary_to_dict(self), ensure_ascii=False, separators=(",", ":")))
+        return len(json.dumps(encode(self), ensure_ascii=False, separators=(",", ":")))
 
 
 @dataclass(frozen=True)
@@ -319,48 +319,19 @@ def _validate_summary(
 # entries in order.  Key order is significant and preserved both ways.
 
 
-def skill_to_dict(skill: Skill) -> dict:
-    return {"skill_name": skill.name, "description": skill.description}
-
-
-def category_to_dict(cat: Category) -> dict:
-    out: dict = {"category_description": cat.description}
-    if cat.abstraction_level is not None:
-        out["abstraction_level"] = cat.abstraction_level
-    if cat.complement is not None:
-        out["complement"] = cat.complement
-    if cat.distractor_tier is not None:
-        out["distractor_tier"] = cat.distractor_tier
-    out["skills"] = [skill_to_dict(s) for s in cat.skills]
-    return out
-
-
-def summary_to_dict(summary: SummaryBlock) -> dict:
-    return {
-        "category_index": [
-            {"name": e.name, "skill_count": e.skill_count, "routing_hint": e.routing_hint}
-            for e in summary.category_index
-        ],
-        "_llm_instructions": summary.llm_instructions,
-        "routing_roles": {role: list(names) for role, names in summary.routing_roles.items()},
-    }
-
-
-def library_to_dict(lib: KnowledgeLibrary, body_key: str = DEFAULT_BODY_KEY) -> dict:
-    out: dict = {}
-    if lib.summary is not None:
-        out[SUMMARY_KEY] = summary_to_dict(lib.summary)
-    out[body_key] = {cat.name: category_to_dict(cat) for cat in lib.categories}
-    if lib.provenance:
-        out[PROVENANCE_KEY] = dict(lib.provenance)
-    return out
-
-
-def serialize_library(
-    lib: KnowledgeLibrary, body_key: str = DEFAULT_BODY_KEY, indent: int = 2
-) -> str:
+def serialize_library(lib: KnowledgeLibrary, body_key: str = DEFAULT_BODY_KEY) -> str:
     """Render the library as stable JSON text, summary first."""
-    return json.dumps(library_to_dict(lib, body_key), ensure_ascii=False, indent=indent) + "\n"
+    record = encode(lib)
+    out: dict = {} if lib.summary is None else {SUMMARY_KEY: record["summary"]}
+    # The writer's side of decode_library's hook: a category's name is its
+    # body key, and an unset annotation is left out.
+    body = out[body_key] = {}
+    for entry in record["categories"]:
+        name = entry.pop("name")
+        body[name] = {key: value for key, value in entry.items() if value is not None}
+    if lib.provenance:
+        out[PROVENANCE_KEY] = record["provenance"]
+    return json.dumps(out, ensure_ascii=False, indent=2) + "\n"
 
 
 def deserialize_library(text: str | bytes, body_key: str | None = None) -> KnowledgeLibrary:

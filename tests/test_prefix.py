@@ -9,7 +9,7 @@ from sdsr import library
 from sdsr.engine import LexicalBackend, RoutingRequest, route_tier1
 from sdsr.errors import IoFailure, MalformedFile, NoSummary, SummaryNotFirst
 from sdsr.fixtures import build_fixture_library
-from sdsr.library import SummaryBlock, serialize_library, summary_to_dict
+from sdsr.library import SummaryBlock, serialize_library
 from sdsr.prefix import (
     estimate_tokens,
     extract_summary,
@@ -17,7 +17,7 @@ from sdsr.prefix import (
     scan_registry,
     summary_token_estimate,
 )
-from sdsr.wire import decode
+from sdsr.wire import decode, encode
 
 from _generators import library_with_big_body
 
@@ -371,11 +371,11 @@ class TestSummaryLengthCache:
     def test_estimate_leaves_equality_repr_and_wire_format_alone(self):
         summary = build_fixture_library().summary
         twin = build_fixture_library().summary
-        before = (repr(summary), summary_to_dict(summary))
-        payload = json.dumps(summary_to_dict(summary), ensure_ascii=False, separators=(",", ":"))
+        before = (repr(summary), encode(summary))
+        payload = json.dumps(encode(summary), ensure_ascii=False, separators=(",", ":"))
         assert summary_token_estimate(summary) == (len(payload) + 3) // 4
         assert summary == twin
-        assert (repr(summary), summary_to_dict(summary)) == before
+        assert (repr(summary), encode(summary)) == before
         assert "compact_length" not in repr(summary)
 
     def test_each_summary_is_serialized_once_per_scan_and_route(self, tmp_path, monkeypatch):
@@ -385,12 +385,12 @@ class TestSummaryLengthCache:
                 serialize_library(build_fixture_library()), encoding="utf-8")
         calls = []
 
-        def counting(summary):
-            calls.append(summary)
-            return summary_to_dict(summary)
+        def counting(obj):
+            calls.append(obj)
+            return encode(obj)
 
-        monkeypatch.setattr(library, "summary_to_dict", counting)
-        monkeypatch.setattr("sdsr.prefix.summary_to_dict", counting, raising=False)
+        monkeypatch.setattr(library, "encode", counting)
+        monkeypatch.setattr("sdsr.prefix.encode", counting, raising=False)
         results, findings = read_registry_summaries(scan_registry(tmp_path), token_budget=10)
         route_tier1(RoutingRequest(query="map competitor weak points",
                                    summaries=tuple((fid, r.summary) for fid, r in results)),

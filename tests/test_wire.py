@@ -1,9 +1,28 @@
-import pytest
+import json
 
-from sdsr.corpus import CrossReference
+import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
+
+from sdsr.corpus import (
+    CrossReference,
+    Section,
+    build_doc_summary,
+    section_document,
+)
+from sdsr.engine import QuestionSelection, Selection, SelectionSet
 from sdsr.errors import MalformedFile
+from sdsr.fixtures import FIXTURES_DIR, fixture_judgment
+from sdsr.library import (
+    Category,
+    CategoryIndexEntry,
+    Skill,
+    SummaryBlock,
+    deserialize_library,
+    serialize_library,
+)
 from sdsr.remote import RemoteConfig
-from sdsr.wire import decode
+from sdsr.wire import decode, encode
 
 
 @pytest.mark.parametrize("tp, value, expected", [
@@ -42,3 +61,68 @@ def test_rejects_what_it_would_have_to_coerce(tp, value, error):
 def test_the_root_keys_prefix_the_path():
     with pytest.raises(MalformedFile, match=r"^remote\.timeout: expected a number, got null$"):
         decode(RemoteConfig, {"endpoint": "e", "model": "m", "timeout": None}, "remote")
+
+
+@pytest.mark.parametrize("value, expected", [
+    (Skill(name="Intent_Router"), {"skill_name": "Intent_Router", "description": ""}),
+    (QuestionSelection(question_id=3, primary=Selection(category="C", skill="S")),
+     {"question_id": 3, "primary": {"category": "C", "skill": "S"}, "secondary": None}),
+    (Section(section_id="s1", role="other", text="t", char_span=(0, 1)),
+     {"section_id": "s1", "role": "other", "text": "t", "char_span": [0, 1]}),
+    (SummaryBlock(routing_roles={"anchor": ("A", "B")}),
+     {"category_index": [], "_llm_instructions": "", "routing_roles": {"anchor": ["A", "B"]}}),
+    (Category(name="C"),
+     {"name": "C", "category_description": "", "abstraction_level": None, "complement": None,
+      "distractor_tier": None, "skills": []}),
+    ((Selection(category="C", skill="S"),), [{"category": "C", "skill": "S"}]),
+    ({"k": (1, None)}, {"k": [1, None]}),
+], ids=["renamed-key", "nested-record", "tuple-to-list", "dict-of-tuples", "none-to-null",
+        "tuple-of-records", "bare-dict"])
+def test_encodes_each_supported_shape(value, expected):
+    assert json.dumps(encode(value)) == json.dumps(expected)  # keys in field order too
+
+
+_text = st.text(max_size=6)
+_maybe_text = st.none() | _text
+_selection = st.builds(Selection, category=_text, skill=_text)
+_records = st.one_of(
+    st.builds(Category, name=_text, description=_text, abstraction_level=_maybe_text,
+              complement=_maybe_text, distractor_tier=_maybe_text,
+              skills=st.lists(st.builds(Skill, name=_text, description=_text), max_size=3)),
+    st.builds(SummaryBlock,
+              category_index=st.lists(st.builds(CategoryIndexEntry, name=_text,
+                                                skill_count=st.integers(), routing_hint=_text),
+                                      max_size=3),
+              llm_instructions=_text,
+              routing_roles=st.dictionaries(_text, st.lists(_text, max_size=3).map(tuple),
+                                            max_size=2)),
+    st.builds(SelectionSet,
+              selections=st.lists(st.builds(QuestionSelection, question_id=st.integers(),
+                                            primary=_selection,
+                                            secondary=st.none() | _selection), max_size=3),
+              flags=st.lists(_text, max_size=2)),
+)
+
+
+_judgment_text, _judgment_rules, _judgment_digests, _judgment_refs = fixture_judgment()
+_judgment = section_document(_judgment_text, _judgment_rules)
+
+
+@given(_records)
+@example(_judgment)
+@example(build_doc_summary(_judgment, _judgment_digests, _judgment_refs)[0])
+def test_decode_inverts_encode(record):
+    assert decode(type(record), json.loads(json.dumps(encode(record)))) == record
+
+
+@pytest.mark.parametrize("name", ["library_r1.json", "library_r1_bare.json"])
+def test_each_committed_library_re_encodes_byte_for_byte(name):
+    text = (FIXTURES_DIR / name).read_text(encoding="utf-8")
+    assert serialize_library(deserialize_library(text)) == text
+
+
+@pytest.mark.parametrize("condition", ["A", "B", "C"])
+def test_each_committed_selection_set_re_encodes_byte_for_byte(condition):
+    text = (FIXTURES_DIR / f"selections_r1_{condition}.json").read_text(encoding="utf-8")
+    again = encode(decode(SelectionSet, json.loads(text)))
+    assert json.dumps(again, ensure_ascii=False, indent=2) + "\n" == text
