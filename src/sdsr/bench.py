@@ -17,7 +17,7 @@ import io
 import json
 import re
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Sequence
 
@@ -50,7 +50,7 @@ class Question:
 
 @dataclass(frozen=True)
 class QuestionScore:
-    question_id: int
+    question_id: int = field(metadata={"key": "id"})
     primary_hit: bool
     secondary_hit: bool
     score: float
@@ -58,11 +58,11 @@ class QuestionScore:
 
 @dataclass(frozen=True)
 class ScoreReport:
-    per_question: tuple[QuestionScore, ...]
+    total: float  # fields in wire order, as `sdsr score --format json` prints them
+    max_total: float
     primary_accuracy: float
     secondary_hit_rate: float
-    total: float
-    max_total: float
+    per_question: tuple[QuestionScore, ...]
 
     @property
     def primary_hits(self) -> int:

@@ -269,17 +269,7 @@ def _cmd_score(args) -> CommandOutcome:
         selection, findings = bench.parse_response(raw, key)
         _print_findings_stderr(findings)
     report = bench.score_responses(selection, key)
-    payload = {
-        "total": report.total,
-        "max_total": report.max_total,
-        "primary_accuracy": report.primary_accuracy,
-        "secondary_hit_rate": report.secondary_hit_rate,
-        "per_question": [
-            {"id": q.question_id, "primary_hit": q.primary_hit,
-             "secondary_hit": q.secondary_hit, "score": q.score}
-            for q in report.per_question
-        ],
-    }
+    payload = encode(report)
     n_sec = round((report.max_total - len(report.per_question)) * 2)
     table = (
         f"total {report.total}/{report.max_total}  "

@@ -20,6 +20,7 @@ import json
 import re
 from dataclasses import dataclass, field
 from functools import cached_property
+from json.encoder import encode_basestring
 
 from .errors import MalformedFile
 from .wire import decode, encode
@@ -128,8 +129,37 @@ class SummaryBlock:
 
     @cached_property
     def compact_length(self) -> int:
-        # Length of the compact JSON form, computed once; not a field, so == ignores it.
-        return len(json.dumps(encode(self), ensure_ascii=False, separators=(",", ":")))
+        """``len(json.dumps(encode(self), ensure_ascii=False, separators=(",", ":")))``.
+
+        Counted once, without building either: fixed punctuation per record,
+        role and name, plus one escaping pass over every text and count
+        joined, since escaping works character by character.  Not a field,
+        so == ignores it.
+        """
+        texts = [self.llm_instructions]
+        for entry in self.category_index:
+            texts += entry.name, entry.routing_hint, str(entry.skill_count)
+        length = _EMPTY_SUMMARY + len(self.category_index) * (_EMPTY_ENTRY + 1)
+        for role, names in self.routing_roles.items():
+            texts.append(role)
+            texts += names
+            # '"role":[]' and its comma, then '"name",' per name less the last comma
+            length += _EMPTY_ROLE + 1 + 3 * len(names) - bool(names)
+        # Less the last comma of the index and of the roles, and the join's two quotes.
+        length -= bool(self.category_index) + bool(self.routing_roles) + 2
+        return length + len(encode_basestring("".join(texts)))
+
+
+def _compact_json_length(record) -> int:
+    return len(json.dumps(encode(record), ensure_ascii=False, separators=(",", ":")))
+
+
+# Compact lengths of empty records, taken once from encode so that no wire
+# key is spelled twice: a summary, an index entry less its count's one
+# digit, and one role with no names.
+_EMPTY_SUMMARY = _compact_json_length(SummaryBlock())
+_EMPTY_ENTRY = _compact_json_length(CategoryIndexEntry(name="")) - 1
+_EMPTY_ROLE = _compact_json_length(SummaryBlock(routing_roles={"": ()})) - _EMPTY_SUMMARY
 
 
 @dataclass(frozen=True)

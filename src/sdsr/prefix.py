@@ -6,17 +6,30 @@ top-level object member by member with ``json.JSONDecoder.raw_decode``,
 stopping as soon as the summary value is complete; nothing past the
 summary is validated.  For a file whose summary ends at byte offset
 ``o`` read with block size ``b``, at most ``o + b`` bytes are ever read.
-The summary span's UTF-8 check and byte length come from one strict encode.
+
+Each summary is decoded once.  A summary the text holds whole takes one
+``raw_decode``; one cut by a block edge fails that attempt at the cut, is
+walked member by member and is built from its members' values, and a
+member is decoded only once the text holds its closing character.  The
+summary span's UTF-8 check and byte length come from one strict encode.
+The token estimate is a quarter of ``SummaryBlock.compact_length``: fixed
+punctuation, counted once from ``encode`` of empty records, plus one
+``json.encoder.encode_basestring`` pass over the summary's texts joined,
+so no JSON is built or dumped.
 """
 
 from __future__ import annotations
 
 import codecs
+import errno
+import fnmatch
 import json
+import os
 import re
+import stat
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterator
+from typing import Iterator, NoReturn
 
 from .errors import IoFailure, MalformedFile, NoSummary, SummaryNotFirst
 from .library import SUMMARY_KEY, Finding, SEVERITY_WARNING, SummaryBlock
@@ -65,27 +78,51 @@ class PrefixReadResult:
     warning: str | None = None
 
 
+# What Path.is_file() reads as "not a file" rather than as a failure.
+_NOT_A_FILE = frozenset({errno.ENOENT, errno.ENOTDIR, errno.EBADF, errno.ELOOP})
+
+
 def scan_registry(directory: str | Path, extension: str = ".json") -> FileRegistry:
     """List every file under *directory* matching *extension*, sorted by path.
 
     File ids are the paths relative to *directory* in POSIX form, which
-    keeps them unique and makes registry order deterministic.
+    keeps them unique and makes registry order deterministic.  One
+    ``os.walk`` and one ``stat`` per match list what sorted
+    ``Path(directory).rglob(f"*{extension}")`` lists with ``is_file()``:
+    dot-files and links to files are listed, broken links and links to
+    directories are not followed, unreadable subdirectories are skipped.
     """
     root = Path(directory)
     if not root.is_dir():
         raise IoFailure(f"not a readable directory: {root}")
-    try:
-        paths = sorted(p for p in root.rglob(f"*{extension}") if p.is_file())
-    except OSError as exc:
+
+    def fail(exc: OSError) -> NoReturn:
         raise IoFailure(f"cannot scan {root}: {exc}") from exc
+
+    def skip_unreadable(exc: OSError) -> None:
+        if not isinstance(exc, PermissionError):
+            fail(exc)
+
+    top = str(root)
+    cut = len(os.path.join(top, ""))
     entries = []
-    for p in paths:
-        try:
-            size = p.stat().st_size
-        except OSError as exc:
-            raise IoFailure(f"cannot stat {p}: {exc}") from exc
-        entries.append(RegistryEntry(
-            file_id=p.relative_to(root).as_posix(), path=str(p), byte_size=size))
+    for dirpath, _, names in os.walk(top, onerror=skip_unreadable):
+        for name in fnmatch.filter(names, f"*{extension}"):
+            path = os.path.join(dirpath, name)
+            try:
+                info = os.stat(path)
+            except OSError as exc:
+                if exc.errno in _NOT_A_FILE:
+                    continue
+                fail(exc)
+            if stat.S_ISREG(info.st_mode):
+                file_id = path[cut:].replace(os.sep, "/")
+                # Path(".") joins "a.json" as "a.json", not "./a.json".
+                entries.append(RegistryEntry(
+                    file_id=file_id, path=file_id if top == "." else path,
+                    byte_size=info.st_size))
+    # sorted Paths compare part by part: "a/b.json" < "a-b.json".
+    entries.sort(key=lambda entry: entry.file_id.split("/"))
     return FileRegistry(entries=tuple(entries))
 
 
@@ -94,6 +131,7 @@ _WS = re.compile(r"[ \t\n\r]*")
 # A bare number or literal is complete only once one of these follows it:
 # a block edge can cut "-1.5e3" to "-1.", which decodes as -1.
 _DELIMITERS = frozenset(" \t\n\r,}")
+_CLOSERS = {"{": "}", "[": "]", '"': '"'}
 # A decode error this close to the end of the text may be a token cut
 # by a block edge; the longest such token is "-Infinity".
 _CUT_TOKEN_MAX = 9
@@ -110,6 +148,7 @@ class _BlockText:
         self.text = ""
         self.bytes_read = 0
         self.eof = False
+        self.end = 0
 
     def error(self, message: str) -> MalformedFile:
         return MalformedFile(f"{self.path}: {message}")
@@ -141,11 +180,16 @@ class _BlockText:
     def decode(self, start: int, walk: bool = False) -> tuple[object, int]:
         """Decode the JSON value at *start*; return it and the index past it.
 
-        With *walk*, an incomplete object is walked member by member.  Any
-        other incomplete value is decoded again only after a block holding
-        its closing character, so small blocks do not cost a decode each.
+        A value is decoded once the text holds its closing character, and
+        again only after a block holding another, so small blocks do not
+        cost a decode each.  With *walk*, an object cut by the end of the
+        text is walked member by member and built from its members' values,
+        so it is not decoded a second time.
         """
-        closer = {"{": "}", "[": "]", '"': '"'}.get(self.text[start])
+        closer = _CLOSERS.get(self.text[start])
+        # Without its closer the value cannot be complete: read, then decode.
+        if closer and self.text.find(closer, start + 1) < 0:
+            self.read_until(closer)
         while True:
             try:
                 value, end = _DECODER.raw_decode(self.text, start)
@@ -153,31 +197,35 @@ class _BlockText:
                 message, pos = exc.msg, exc.pos
             else:
                 if closer or self.text[end:end + 1] in _DELIMITERS:
+                    self.end = end
                     return value, end
                 message, pos = "Expecting ',' or '}' after a value", end
             if not (message.startswith("Unterminated string")
                     or len(self.text) - pos <= _CUT_TOKEN_MAX):
                 raise self.error(f"{message} at character {pos}")
             if closer == "}" and walk:
-                for _ in self.members(start):
-                    pass
-            else:
-                self.read_until(closer)
+                value = {}
+                for key, value_start in self.members(start):
+                    value[key] = self.decode(value_start)[0]
+                return value, self.end
+            self.read_until(closer)
 
-    def members(self, pos: int, walk: bool = False) -> Iterator[tuple[str, int]]:
+    def members(self, pos: int) -> Iterator[tuple[str, int]]:
         """Walk the object whose "{" is at *pos*, yielding (key, value start).
 
-        Each value is decoded, with *walk*, only when the walk resumes past it.
+        The caller decodes each value before the walk resumes from
+        ``self.end``, the index past the last value decoded; once the walk
+        is done, ``self.end`` is the index past the object.
         """
         char, pos = self.next_char(pos + 1, '"}')
         while char != "}":
             key, pos = self.decode(pos)
             pos = self.next_char(pos, ":")[1]
-            start = self.next_char(pos + 1)[1]
-            yield key, start
-            char, pos = self.next_char(self.decode(start, walk)[1], ",}")
+            yield key, self.next_char(pos + 1)[1]
+            char, pos = self.next_char(self.end, ",}")
             if char == ",":
                 char, pos = self.next_char(pos + 1, '"')
+        self.end = pos + 1
 
 
 def extract_summary(
@@ -208,7 +256,7 @@ def extract_summary(
             pos = 1 if src.next_char(0) == ("\ufeff", 0) else 0
             # Walk top-level values only, so deep nesting never recurses here.
             top = src.next_char(pos, "{")[1]
-            for index, (key, start) in enumerate(src.members(top, walk=True)):
+            for index, (key, start) in enumerate(src.members(top)):
                 if key == SUMMARY_KEY:
                     value, end = src.decode(start, walk=True)
                     # Undecodable bytes became lone surrogates, which a strict encode rejects.
@@ -227,6 +275,7 @@ def extract_summary(
                 if strict:
                     raise SummaryNotFirst(
                         f"{path}: first top-level key is {key!r}, not {SUMMARY_KEY!r}")
+                src.decode(start, walk=True)
         except RecursionError:
             raise src.error("nested too deeply to decode") from None
     raise NoSummary(f"{path}: no {SUMMARY_KEY!r} key in top-level object")

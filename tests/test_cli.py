@@ -1,9 +1,11 @@
 import hashlib
 import json
+import shutil
 from pathlib import Path
 
 import pytest
 
+from sdsr import prefix
 from sdsr.cli import dispatch, main
 from sdsr.library import deserialize_library
 
@@ -567,3 +569,60 @@ class TestPinnedOutput:
                 "--complement-pass"]
         assert self.stdout_digest(argv, capsys) == (
             "14e571cc233b329bbef0438debc3cd93e9226e32981471b783665a1f5a0d6a07")
+
+    # Summary text that every escape rule of the compact form touches.
+    ESCAPES_LIBRARY = {
+        "_summary": {
+            "category_index": [
+                {"name": 'Quote_"Desk"', "skill_count": 12,
+                 "routing_hint": "back\\slash, tab\there, bell\x07, naïve café 競合 🎵 "
+                                 "competitor weak points"},
+                {"name": "Plain", "skill_count": 0, "routing_hint": ""},
+            ],
+            "_llm_instructions": 'Read the "hints" first.\n',
+            "routing_roles": {"primary": ['Quote_"Desk"'], "empty": []},
+        },
+        "High_Impact_Skills_Library": {
+            'Quote_"Desk"': {"category_description": "d", "skills": []},
+            "Plain": {"category_description": "", "skills": []},
+        },
+    }
+
+    @pytest.fixture(scope="class")
+    def registry(self, round3_library, tmp_path_factory):
+        """library_r1 at the top, round 3 in a subdirectory, and a sibling whose
+        name sorts before that subdirectory as a string but after it by path parts."""
+        root = tmp_path_factory.mktemp("registry")
+        (root / "lib").mkdir()
+        shutil.copy(COMMITTED_FIXTURES / "library_r1.json", root / "library_r1.json")
+        shutil.copy(round3_library, root / "lib" / "round3.json")
+        (root / "lib-escapes.json").write_text(
+            json.dumps(self.ESCAPES_LIBRARY, ensure_ascii=False), encoding="utf-8")
+        return root
+
+    def test_route_over_a_mixed_registry(self, registry, capsys):
+        query = json.loads(
+            (COMMITTED_FIXTURES / "questions_20.json").read_text(encoding="utf-8"))[0]["text"]
+        capsys.readouterr()
+        assert main(["--format", "json", "route", "--query", query, "--dir", str(registry)]) == 0
+        out, err = capsys.readouterr()
+        assert "TOKEN_BUDGET_OVERRUN" in err
+        assert hashlib.sha256(out.encode("utf-8")).hexdigest() == (
+            "82500b9e0a7897227f421baf28f30dddc61eaf4eed45d69a76fe02623507c55c")
+        assert hashlib.sha256(err.encode("utf-8")).hexdigest() == (
+            "b4ffb85fc5000f171ec4324e091f57e8ad7f36c265eb23e8d4f870d900e1f2e1")
+
+    def test_prefix_reads_of_the_mixed_registry(self, registry):
+        reads = [(fid, block_size, r.bytes_read, r.summary_end_offset, r.summary.compact_length)
+                 for block_size in (1, 7, 64, 4096)
+                 for fid, r in prefix.read_registry_summaries(
+                     prefix.scan_registry(registry), block_size=block_size)[0]]
+        assert hashlib.sha256(repr(reads).encode("utf-8")).hexdigest() == (
+            "ecd6de7b76c646e3dac886a8778145fd876ff938b509dc3e123cb58d30a83489")
+
+    def test_score_selections(self, capsys):
+        argv = ["--format", "json", "score",
+                "--selections", str(COMMITTED_FIXTURES / "selections_r1_B.json"),
+                "--key", str(COMMITTED_FIXTURES / "questions_20.json")]
+        assert self.stdout_digest(argv, capsys) == (
+            "cd1954fb81921bca75fdf996b50737cb8b262b63f87fd2b1ba76f18bf446906e")

@@ -1,15 +1,15 @@
 import json
 import random
+from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from sdsr import library
 from sdsr.engine import LexicalBackend, RoutingRequest, route_tier1
 from sdsr.errors import IoFailure, MalformedFile, NoSummary, SummaryNotFirst
 from sdsr.fixtures import build_fixture_library
-from sdsr.library import SummaryBlock, serialize_library
+from sdsr.library import CategoryIndexEntry, SummaryBlock, serialize_library
 from sdsr.prefix import (
     estimate_tokens,
     extract_summary,
@@ -69,6 +69,74 @@ class TestScanRegistry:
     def test_missing_directory(self, tmp_path):
         with pytest.raises(IoFailure):
             scan_registry(tmp_path / "nope")
+
+    def test_a_file_is_not_a_directory(self, tmp_path):
+        (tmp_path / "a.json").write_text("{}")
+        with pytest.raises(IoFailure):
+            scan_registry(tmp_path / "a.json")
+
+    def test_order_is_by_path_parts_not_by_string(self, tmp_path):
+        # As a string "a-b.json" < "a.json" < "a/b.json"; by parts "a" sorts first.
+        (tmp_path / "a" / "a").mkdir(parents=True)
+        for name in ("a.json", "a-b.json", "a/b.json", "a/a/z.json", "a/a.json"):
+            (tmp_path / name).write_text("{}")
+        assert [e.file_id for e in scan_registry(tmp_path).entries] == [
+            "a/a/z.json", "a/a.json", "a/b.json", "a-b.json", "a.json"]
+
+    def test_dot_files_and_dot_directories_are_listed(self, tmp_path):
+        (tmp_path / ".d").mkdir()
+        for name in (".hidden.json", ".d/x.json", ".json"):
+            (tmp_path / name).write_text("{}")
+        assert [e.file_id for e in scan_registry(tmp_path).entries] == [
+            ".d/x.json", ".hidden.json", ".json"]
+
+    def test_a_directory_named_like_a_file_is_walked_not_listed(self, tmp_path):
+        (tmp_path / "x.json").mkdir()
+        (tmp_path / "x.json" / "inner.json").write_text("{}")
+        assert [e.file_id for e in scan_registry(tmp_path).entries] == ["x.json/inner.json"]
+
+    def test_symlinks(self, tmp_path):
+        (tmp_path / "d").mkdir()
+        (tmp_path / "d" / "in.json").write_text("{" + " " * 40 + "}")
+        (tmp_path / "file.json").write_text("{}")
+        (tmp_path / "link.json").symlink_to(tmp_path / "d" / "in.json")
+        (tmp_path / "broken.json").symlink_to(tmp_path / "missing.json")
+        (tmp_path / "loop.json").symlink_to(tmp_path / "loop.json")
+        (tmp_path / "dirlink").symlink_to(tmp_path / "d", target_is_directory=True)
+        (tmp_path / "dirlink.json").symlink_to(tmp_path / "d", target_is_directory=True)
+        registry = scan_registry(tmp_path)
+        # A file link is listed with its target's size, under its own path; a
+        # broken or looping link is skipped, and a directory link is not followed.
+        assert [(e.file_id, e.byte_size) for e in registry.entries] == [
+            ("d/in.json", 42), ("file.json", 2), ("link.json", 42)]
+        assert registry.entries[2].path == str(tmp_path / "link.json")
+
+    def test_a_symlinked_root_is_scanned(self, tmp_path):
+        (tmp_path / "d").mkdir()
+        (tmp_path / "d" / "a.json").write_text("{}")
+        (tmp_path / "root").symlink_to(tmp_path / "d", target_is_directory=True)
+        assert [e.path for e in scan_registry(tmp_path / "root").entries] == [
+            str(tmp_path / "root" / "a.json")]
+
+    @pytest.mark.parametrize("spelling", [".", "./", "sub/..", "sub/../", "./sub/../."])
+    def test_paths_are_spelled_as_pathlib_joins_them(self, tmp_path, monkeypatch, spelling):
+        (tmp_path / "sub").mkdir()
+        (tmp_path / "sub" / "b.json").write_text("{}")
+        (tmp_path / "a.json").write_text("{}")
+        monkeypatch.chdir(tmp_path)
+        assert [e.path for e in scan_registry(spelling).entries] == [
+            str(Path(spelling) / "a.json"), str(Path(spelling) / "sub" / "b.json")]
+
+    def test_extension_is_a_glob_suffix(self, tmp_path):
+        for name in ("a.json", "b.jsonl", "c.JSON", "d.sdsr.json", "ejson"):
+            (tmp_path / name).write_text("{}")
+        ids = lambda ext: [e.file_id for e in scan_registry(tmp_path, extension=ext).entries]
+        assert ids(".json") == ["a.json", "d.sdsr.json"]
+        assert ids(".sdsr.json") == ["d.sdsr.json"]
+        assert ids("json") == ["a.json", "d.sdsr.json", "ejson"]
+        assert ids(".json?") == ["b.jsonl"]
+        assert ids(".[jJ][sS][oO][nN]") == ["a.json", "c.JSON", "d.sdsr.json"]
+        assert ids("") == ["a.json", "b.jsonl", "c.JSON", "d.sdsr.json", "ejson"]
 
 
 class TestExtractSummary:
@@ -367,6 +435,11 @@ def test_read_registry_summaries_order_and_budget(tmp_path):
     assert [f.code for f in findings] == ["TOKEN_BUDGET_OVERRUN"] * 3
 
 
+# Every character the compact form escapes, non-ASCII text and lone surrogates.
+_ANY_TEXT = st.text(alphabet=st.sampled_from('"\\/\x00\x07\x1f\x7f\n\t é中🎵\u2028\ud800\udfff')
+                    | st.integers(0, 0x10FFFF).map(chr), max_size=8)
+
+
 class TestSummaryLengthCache:
     def test_estimate_leaves_equality_repr_and_wire_format_alone(self):
         summary = build_fixture_library().summary
@@ -383,17 +456,32 @@ class TestSummaryLengthCache:
         for i in range(n):
             (tmp_path / f"f{i}.json").write_text(
                 serialize_library(build_fixture_library()), encoding="utf-8")
-        calls = []
+        compute, calls = SummaryBlock.compact_length.func, []
 
-        def counting(obj):
-            calls.append(obj)
-            return encode(obj)
+        def counting(summary):
+            calls.append(summary)
+            return compute(summary)
 
-        monkeypatch.setattr(library, "encode", counting)
-        monkeypatch.setattr("sdsr.prefix.encode", counting, raising=False)
+        monkeypatch.setattr(SummaryBlock.compact_length, "func", counting)
         results, findings = read_registry_summaries(scan_registry(tmp_path), token_budget=10)
         route_tier1(RoutingRequest(query="map competitor weak points",
                                    summaries=tuple((fid, r.summary) for fid, r in results)),
                     LexicalBackend())
         assert len(findings) == n
         assert len(calls) == n
+
+    @settings(max_examples=300, deadline=None)
+    @given(summary=st.builds(
+        SummaryBlock,
+        category_index=st.lists(st.builds(
+            CategoryIndexEntry, name=_ANY_TEXT, routing_hint=_ANY_TEXT,
+            skill_count=st.integers(0, 99) | st.integers(-10**30, 10**30)), max_size=4),
+        llm_instructions=_ANY_TEXT,
+        routing_roles=st.dictionaries(_ANY_TEXT, st.lists(_ANY_TEXT, max_size=3), max_size=3)))
+    @example(summary=SummaryBlock())
+    @example(summary=SummaryBlock(routing_roles={"": ()}))
+    @example(summary=SummaryBlock(category_index=(CategoryIndexEntry("", 1234567, ""),),
+                                  routing_roles={"a": (), "b": ("x", "\ud800")}))
+    def test_compact_length_is_the_length_of_the_compact_dump(self, summary):
+        assert summary.compact_length == len(
+            json.dumps(encode(summary), ensure_ascii=False, separators=(",", ":")))
