@@ -226,10 +226,9 @@ def run_benchmark(
     conditions: Sequence[GuidanceCondition],
     questions: Sequence[Question],
     backend: RouterBackend,
-    key: Sequence[Question] | None = None,
     out_dir: str | Path | None = None,
 ) -> list[BenchmarkResult]:
-    """Run every condition as a fresh conversation and score it.
+    """Run every condition as a fresh conversation and score it against *questions*.
 
     Each condition gets one composed message (system prompt, artifact,
     then the numbered questions); transcripts are persisted to
@@ -240,21 +239,22 @@ def run_benchmark(
     """
     if not conditions:
         raise ValueError("run_benchmark needs at least one condition")
-    key = list(key) if key is not None else list(questions)
+    pairs = [(q.id, q.text) for q in questions]
     results: list[BenchmarkResult] = []
     for cond in conditions:
-        transcript = _compose_message(cond, questions)
+        transcript = (cond.system_prompt + "\n\n"
+                      + task_message(cond.library_artifact.decode("utf-8"), pairs))
         try:
-            library = deserialize_library(cond.library_artifact)
+            library = deserialize_library(cond.library_artifact, cond.body_key)
             sel = select_tier2(
-                [(q.id, q.text) for q in questions],
+                pairs,
                 [library],
                 backend,
                 system_prompt=cond.system_prompt,
                 artifact=cond.library_artifact,
             )
             transcript += "\n\n--- response ---\n" + format_selections(sel) + "\n"
-            report = score_responses(sel, key)
+            report = score_responses(sel, questions)
             results.append(BenchmarkResult(
                 condition=cond.condition, report=report, transcript=transcript))
         except SdsrError as exc:
@@ -266,15 +266,10 @@ def run_benchmark(
     return results
 
 
-def _compose_message(cond: GuidanceCondition, questions: Sequence[Question]) -> str:
-    numbered = "\n".join(f"Q{q.id:02d}. {q.text}" for q in questions)
-    return (
-        cond.system_prompt
-        + "\n\n--- skills.json ---\n"
-        + cond.library_artifact.decode("utf-8")
-        + "\n--- tasks ---\n"
-        + numbered
-    )
+def task_message(library_text: str, questions: Sequence[tuple[int, str]]) -> str:
+    """The user turn of a selection conversation: the library, then the numbered tasks."""
+    numbered = "\n".join(f"Q{qid:02d}. {text}" for qid, text in questions)
+    return f"--- skills.json ---\n{library_text}\n--- tasks ---\n{numbered}"
 
 
 def _persist(results: Sequence[BenchmarkResult], out_dir: Path) -> None:

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -17,6 +18,7 @@ from pathlib import Path
 from . import bench, corpus, distractors, engine, fixtures, guidance, prefix
 from .errors import IoFailure, MalformedFile, SdsrError, TransportError
 from .library import (
+    DEFAULT_HINT_MAX,
     Finding,
     SEVERITY_ERROR,
     decode_library,
@@ -50,11 +52,23 @@ def _read_text(path: str) -> str:
         raise MalformedFile(f"{path}: not UTF-8: {exc}") from None
 
 
+# An escape that json.loads may turn into a lone surrogate, which no writer can encode.
+_SURROGATE_ESCAPE = re.compile(r"\\u[dD][89a-fA-F][0-9a-fA-F]{2}")
+
+
 def _parse_json(path: str, text: str) -> object:
     try:
-        return json.loads(text)
+        data = json.loads(text)
     except json.JSONDecodeError as exc:
         raise MalformedFile(f"{path}: invalid JSON: {exc}") from None
+    if _SURROGATE_ESCAPE.search(text):
+        # A pair of escapes decodes to one character; a lone one stays a surrogate.
+        try:
+            json.dumps(data, ensure_ascii=False).encode("utf-8")
+        except UnicodeEncodeError as exc:
+            raise MalformedFile(
+                f"{path}: a string holds the lone surrogate {exc.object[exc.start]!r}") from None
+    return data
 
 
 def _load_json(path: str) -> object:
@@ -334,13 +348,13 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("validate", help="check a library against every invariant")
     common_lib(p)
     p.add_argument("--strict", action="store_true", help="escalate warnings to errors")
-    p.add_argument("--hint-max", type=int, default=100)
+    p.add_argument("--hint-max", type=int, default=DEFAULT_HINT_MAX)
     p.set_defaults(func=_cmd_validate)
 
     p = sub.add_parser("summarize", help="build or rebuild the summary block")
     common_lib(p)
     p.add_argument("--out", dest="outfile", required=True)
-    p.add_argument("--hint-max", type=int, default=100)
+    p.add_argument("--hint-max", type=int, default=DEFAULT_HINT_MAX)
     p.set_defaults(func=_cmd_summarize)
 
     p = sub.add_parser("strip", help="remove the summary block")
@@ -350,11 +364,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("condition", help="materialize one guidance condition")
     common_lib(p)
-    p.add_argument("--version", required=True, choices=("A", "B", "C", "D"))
+    p.add_argument("--version", required=True, choices=guidance.CONDITIONS)
     p.add_argument("--out-dir", required=True)
     p.add_argument("--prompts", default=str(DEFAULT_PROMPTS),
                    help="prompt config JSON (default: fixtures/prompts.json of the checkout)")
-    p.add_argument("--hint-max", type=int, default=100)
+    p.add_argument("--hint-max", type=int, default=DEFAULT_HINT_MAX)
     p.set_defaults(func=_cmd_condition)
 
     p = sub.add_parser("expand", help="inject one round of distractors")
@@ -362,7 +376,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--round", type=int, default=None)
     p.add_argument("--specs", required=True, help="round config JSON")
     p.add_argument("--out", dest="outfile", required=True)
-    p.add_argument("--hint-max", type=int, default=100)
+    p.add_argument("--hint-max", type=int, default=DEFAULT_HINT_MAX)
     p.set_defaults(func=_cmd_expand)
 
     p = sub.add_parser("route", help="tier-1 summary-scan routing over a directory")
@@ -395,7 +409,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="prompt config JSON (default: fixtures/prompts.json of the checkout)")
     p.add_argument("--backend", choices=("lexical", "remote"), default="lexical")
     p.add_argument("--out-dir", default=None, help="persist transcripts and report.csv here")
-    p.add_argument("--hint-max", type=int, default=100)
+    p.add_argument("--hint-max", type=int, default=DEFAULT_HINT_MAX)
     p.set_defaults(func=_cmd_bench)
 
     p = sub.add_parser("score", help="score selections against an answer key")

@@ -10,7 +10,7 @@ whenever D <= R).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import partial
 
 from .errors import NameCollision, UnknownTarget
@@ -166,15 +166,8 @@ def inject_interleaved(
             next_distractor += 1
     merged.extend(distractors[next_distractor:])
 
-    out = KnowledgeLibrary(summary=None, categories=tuple(merged), provenance=real.provenance)
-    if real.summary is not None:
-        out = build_summary(
-            out,
-            hint_max=hint_max,
-            llm_instructions=real.summary.llm_instructions,
-            routing_roles=dict(real.summary.routing_roles),
-        )
-    return out
+    out = replace(real, categories=tuple(merged))
+    return out if real.summary is None else build_summary(out, hint_max=hint_max)
 
 
 def expand_round(

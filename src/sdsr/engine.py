@@ -327,23 +327,16 @@ def route_tier1(req: RoutingRequest, backend: RouterBackend) -> RoutingResult:
 
 
 def normalize_questions(
-    questions: str | Sequence[str] | Sequence[tuple[int, str]],
+    questions: str | Sequence[tuple[int, str]],
 ) -> tuple[tuple[int, str], ...]:
-    """Accept a query string, a list of texts, or (id, text) pairs."""
+    """Accept a query string, which becomes question 1, or (id, text) pairs."""
     if isinstance(questions, str):
         return ((1, questions),)
-    out = []
-    for position, item in enumerate(questions, start=1):
-        if isinstance(item, str):
-            out.append((position, item))
-        else:
-            qid, text = item
-            out.append((int(qid), str(text)))
-    return tuple(out)
+    return tuple((int(qid), str(text)) for qid, text in questions)
 
 
 def select_tier2(
-    questions: str | Sequence[str] | Sequence[tuple[int, str]],
+    questions: str | Sequence[tuple[int, str]],
     loaded: Sequence[KnowledgeLibrary],
     backend: RouterBackend,
     system_prompt: str | None = None,

@@ -19,13 +19,14 @@ inputs produce byte-identical artifacts.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import partial
 from string import Formatter
 
 from .errors import EmptyLibrary
 from .library import (
     CategoryIndexEntry,
+    DEFAULT_BODY_KEY,
     DEFAULT_HINT_MAX,
     KnowledgeLibrary,
     SummaryBlock,
@@ -111,34 +112,26 @@ class GuidanceCondition:
     condition: str
     library_artifact: bytes
     system_prompt: str
+    body_key: str = DEFAULT_BODY_KEY  # the artifact's, which may start with "_"
 
 
 # perfbench/inputs.py imports this name.
 prompt_config_from_dict = partial(decode, PromptConfig)
 
 
-def build_summary(
-    lib: KnowledgeLibrary,
-    hint_max: int = DEFAULT_HINT_MAX,
-    llm_instructions: str | None = None,
-    routing_roles: dict[str, tuple[str, ...]] | None = None,
-) -> KnowledgeLibrary:
+def build_summary(lib: KnowledgeLibrary, hint_max: int = DEFAULT_HINT_MAX) -> KnowledgeLibrary:
     """Return a copy of *lib* with a freshly computed summary block.
 
     Index entries follow library order; each routing hint is the first
     *hint_max* Unicode scalar values of the category description with
     trailing whitespace trimmed (plain prefix truncation, no sentence
-    search).  Instructions and roles default to the values already on
-    the library's summary when present, else to the shipped template
-    and an empty role map.  Building twice equals building once.
+    search).  Instructions and roles are kept from the library's summary
+    when present, else they are the shipped template and an empty role
+    map.  Building twice equals building once.
     """
     if not lib.categories:
         raise EmptyLibrary("cannot summarize a library with no categories")
-    previous = lib.summary
-    if llm_instructions is None:
-        llm_instructions = previous.llm_instructions if previous else DEFAULT_LLM_INSTRUCTIONS
-    if routing_roles is None:
-        routing_roles = dict(previous.routing_roles) if previous else {}
+    previous = lib.summary or SummaryBlock(llm_instructions=DEFAULT_LLM_INSTRUCTIONS)
     index = tuple(
         CategoryIndexEntry(
             name=cat.name.strip(),
@@ -147,20 +140,12 @@ def build_summary(
         )
         for cat in lib.categories
     )
-    summary = SummaryBlock(
-        category_index=index,
-        llm_instructions=llm_instructions,
-        routing_roles=routing_roles,
-    )
-    return KnowledgeLibrary(
-        summary=summary, categories=lib.categories, provenance=lib.provenance)
+    return replace(lib, summary=replace(previous, category_index=index))
 
 
 def strip_summary(lib: KnowledgeLibrary) -> KnowledgeLibrary:
     """Return *lib* without a summary block; idempotent."""
-    if lib.summary is None:
-        return lib
-    return KnowledgeLibrary(summary=None, categories=lib.categories, provenance=lib.provenance)
+    return lib if lib.summary is None else replace(lib, summary=None)
 
 
 def expand_extended_prompt(prompts: PromptConfig) -> str:
@@ -199,4 +184,5 @@ def build_condition(
         prompt = expand_extended_prompt(prompts)
     else:
         prompt = prompts.minimal_template
-    return GuidanceCondition(condition=condition, library_artifact=artifact, system_prompt=prompt)
+    return GuidanceCondition(condition=condition, library_artifact=artifact,
+                             system_prompt=prompt, body_key=variant.body_key)

@@ -167,6 +167,8 @@ class KnowledgeLibrary:
     summary: SummaryBlock | None = None
     categories: tuple[Category, ...] = ()
     provenance: dict[str, str] = field(default_factory=dict)
+    # The key the body was read under and is written under; == ignores it.
+    body_key: str = field(default=DEFAULT_BODY_KEY, compare=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "categories", tuple(self.categories))
@@ -345,17 +347,18 @@ def _validate_summary(
 #
 # Wire format: a single UTF-8 JSON object.  When a summary exists its
 # key is literally "_summary" and it is emitted first; the body key
-# (default "High_Impact_Skills_Library") maps category names to their
-# entries in order.  Key order is significant and preserved both ways.
+# (the one the library was read under, by default
+# "High_Impact_Skills_Library") maps category names to their entries in
+# order.  Key order is significant and preserved both ways.
 
 
-def serialize_library(lib: KnowledgeLibrary, body_key: str = DEFAULT_BODY_KEY) -> str:
-    """Render the library as stable JSON text, summary first."""
+def serialize_library(lib: KnowledgeLibrary) -> str:
+    """Render the library as stable JSON text, summary first, the body under its body key."""
     record = encode(lib)
     out: dict = {} if lib.summary is None else {SUMMARY_KEY: record["summary"]}
     # The writer's side of decode_library's hook: a category's name is its
     # body key, and an unset annotation is left out.
-    body = out[body_key] = {}
+    body = out[lib.body_key] = {}
     for entry in record["categories"]:
         name = entry.pop("name")
         body[name] = {key: value for key, value in entry.items() if value is not None}
@@ -396,4 +399,5 @@ def decode_library(obj: object, body_key: str | None = None) -> KnowledgeLibrary
                    body_key, name)
             for name, entry in body.items()),
         provenance=decode(dict[str, str], obj.get(PROVENANCE_KEY, {}), PROVENANCE_KEY),
+        body_key=body_key,
     )

@@ -7,11 +7,12 @@ stopping as soon as the summary value is complete; nothing past the
 summary is validated.  For a file whose summary ends at byte offset
 ``o`` read with block size ``b``, at most ``o + b`` bytes are ever read.
 
-Each summary is decoded once.  A summary the text holds whole takes one
-``raw_decode``; one cut by a block edge fails that attempt at the cut, is
-walked member by member and is built from its members' values, and a
-member is decoded only once the text holds its closing character.  The
-summary span's UTF-8 check and byte length come from one strict encode.
+Each summary is decoded once, one way: an object at the top level is
+walked member by member and built from its members' values, and every
+other value, each member included, takes one ``raw_decode`` once the
+text holds its closing character.  So where block edges fall changes
+only ``bytes_read``, never a value or an error message.  The summary
+span's UTF-8 check and byte length come from one strict encode.
 The token estimate is a quarter of ``SummaryBlock.compact_length``: fixed
 punctuation, counted once from ``encode`` of empty records, plus one
 ``json.encoder.encode_basestring`` pass over the summary's texts joined,
@@ -177,14 +178,12 @@ class _BlockText:
             raise self.error(f"expected one of {list(allowed)} at character {pos}, found {char!r}")
         return char, pos
 
-    def decode(self, start: int, walk: bool = False) -> tuple[object, int]:
-        """Decode the JSON value at *start*; return it and the index past it.
+    def decode(self, start: int) -> tuple[object, int]:
+        """Decode the JSON value at *start* whole; return it and the index past it.
 
         A value is decoded once the text holds its closing character, and
         again only after a block holding another, so small blocks do not
-        cost a decode each.  With *walk*, an object cut by the end of the
-        text is walked member by member and built from its members' values,
-        so it is not decoded a second time.
+        cost a decode each.
         """
         closer = _CLOSERS.get(self.text[start])
         # Without its closer the value cannot be complete: read, then decode.
@@ -203,12 +202,18 @@ class _BlockText:
             if not (message.startswith("Unterminated string")
                     or len(self.text) - pos <= _CUT_TOKEN_MAX):
                 raise self.error(f"{message} at character {pos}")
-            if closer == "}" and walk:
-                value = {}
-                for key, value_start in self.members(start):
-                    value[key] = self.decode(value_start)[0]
-                return value, self.end
             self.read_until(closer)
+
+    def top_value(self, start: int) -> object:
+        """Decode the top-level value at *start*: an object by its members, anything else whole.
+
+        An object is built from its members' values, each decoded once,
+        so its own punctuation is checked by the walk whatever the block
+        size.  ``self.end`` is then the index past the value.
+        """
+        if self.text[start] != "{":
+            return self.decode(start)[0]
+        return {key: self.decode(value_start)[0] for key, value_start in self.members(start)}
 
     def members(self, pos: int) -> Iterator[tuple[str, int]]:
         """Walk the object whose "{" is at *pos*, yielding (key, value start).
@@ -258,7 +263,7 @@ def extract_summary(
             top = src.next_char(pos, "{")[1]
             for index, (key, start) in enumerate(src.members(top)):
                 if key == SUMMARY_KEY:
-                    value, end = src.decode(start, walk=True)
+                    value, end = src.top_value(start), src.end
                     # Undecodable bytes became lone surrogates, which a strict encode rejects.
                     try:
                         span = src.text[start:end].encode("utf-8")
@@ -275,7 +280,7 @@ def extract_summary(
                 if strict:
                     raise SummaryNotFirst(
                         f"{path}: first top-level key is {key!r}, not {SUMMARY_KEY!r}")
-                src.decode(start, walk=True)
+                src.top_value(start)
         except RecursionError:
             raise src.error("nested too deeply to decode") from None
     raise NoSummary(f"{path}: no {SUMMARY_KEY!r} key in top-level object")
@@ -285,12 +290,11 @@ def read_registry_summaries(
     registry: FileRegistry,
     block_size: int = DEFAULT_BLOCK_SIZE,
     strict: bool = True,
-    token_budget: int = DEFAULT_TOKEN_BUDGET,
 ) -> tuple[list[tuple[str, PrefixReadResult]], list[Finding]]:
     """Extract every registry entry's summary, in registry order.
 
     Returns the per-file results plus findings: a warning for every
-    summary whose token estimate exceeds *token_budget* (the estimate
+    summary whose token estimate exceeds DEFAULT_TOKEN_BUDGET (the estimate
     is reported, never clamped) and for every lenient-mode position
     warning.
     """
@@ -300,11 +304,11 @@ def read_registry_summaries(
         result = extract_summary(entry.path, block_size=block_size, strict=strict)
         results.append((entry.file_id, result))
         estimate = summary_token_estimate(result.summary)
-        if estimate > token_budget:
+        if estimate > DEFAULT_TOKEN_BUDGET:
             findings.append(Finding(
                 SEVERITY_WARNING, "TOKEN_BUDGET_OVERRUN",
                 f"{entry.file_id}: summary estimates {estimate} tokens "
-                f"(budget {token_budget})"))
+                f"(budget {DEFAULT_TOKEN_BUDGET})"))
         if result.warning:
             findings.append(Finding(
                 SEVERITY_WARNING, "SUMMARY_POSITION", f"{entry.file_id}: {result.warning}"))

@@ -19,7 +19,7 @@ from typing import Callable, Sequence
 
 import requests
 
-from .bench import Question, parse_response
+from .bench import Question, parse_response, task_message
 from .engine import SelectionSet
 from .errors import TransportError
 from .library import KnowledgeLibrary, SummaryBlock, serialize_library
@@ -163,12 +163,10 @@ class RemoteBackend:
             library_text = artifact.decode("utf-8")
         else:
             library_text = "\n".join(serialize_library(lib) for lib in libraries)
-        numbered = "\n".join(f"Q{qid:02d}. {text}" for qid, text in questions)
-        message = f"--- skills.json ---\n{library_text}\n--- tasks ---\n{numbered}"
         messages = []
         if system_prompt:
             messages.append({"role": "system", "content": system_prompt})
-        messages.append({"role": "user", "content": message})
+        messages.append({"role": "user", "content": task_message(library_text, questions)})
         content = self.chat(messages)
         placeholders = [Question(id=qid, text=text, primary_target="")
                         for qid, text in questions]

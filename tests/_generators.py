@@ -7,12 +7,13 @@ reproducible; nothing here depends on global random state.
 from __future__ import annotations
 
 import random
+from dataclasses import replace
 from pathlib import Path
 
 from sdsr.corpus import SectionRule
 from sdsr.engine import QuestionSelection, Selection, SelectionSet
-from sdsr.guidance import build_summary
-from sdsr.library import Category, KnowledgeLibrary, Skill, serialize_library
+from sdsr.guidance import DEFAULT_LLM_INSTRUCTIONS, build_summary
+from sdsr.library import Category, KnowledgeLibrary, Skill, SummaryBlock, serialize_library
 
 _WORDS = (
     "harbor lantern quartz meadow cipher violet ember drift anchor breeze "
@@ -80,7 +81,9 @@ def random_library(
         roles = {}
         if rng.random() < 0.5:
             roles["anchor"] = (rng.choice(names),)
-        lib = build_summary(lib, hint_max=hint_max, routing_roles=roles)
+        # build_summary keeps the instructions and roles of the summary it replaces.
+        lib = build_summary(replace(lib, summary=SummaryBlock(
+            llm_instructions=DEFAULT_LLM_INSTRUCTIONS, routing_roles=roles)), hint_max=hint_max)
     return lib
 
 

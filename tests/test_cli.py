@@ -109,6 +109,33 @@ class TestReadWriteFailures:
         [line] = error_lines(capsys)
         assert line.startswith(f"ERROR MalformedFile: {library}: not UTF-8: ")
 
+    @pytest.mark.parametrize("which", ["library", "prompts"])
+    def test_a_lone_surrogate_escape_is_malformed(self, fixture_dir, tmp_path, capsys, which):
+        library, prompts = tmp_path / "library.json", tmp_path / "prompts.json"
+        library.write_bytes((fixture_dir / "library_r1.json").read_bytes())
+        prompts.write_bytes((fixture_dir / "prompts.json").read_bytes())
+        bad = library if which == "library" else prompts
+        text = bad.read_text(encoding="utf-8")
+        # The first string value of either file gains an escape that decodes to U+D800.
+        at = text.index('": "') + 4
+        bad.write_text(text[:at] + "\\ud800" + text[at:], encoding="utf-8")
+        outcome = run(["condition", "--version", "C", "--in", str(library),
+                       "--out-dir", str(tmp_path / "out"), "--prompts", str(prompts)])
+        assert outcome.exit_code == 1
+        [line] = error_lines(capsys)
+        assert line == f"ERROR MalformedFile: {bad}: a string holds the lone surrogate '\\ud800'"
+        assert not (tmp_path / "out").exists()
+
+    def test_an_escaped_surrogate_pair_still_loads(self, fixture_dir, tmp_path):
+        text = (fixture_dir / "library_r1.json").read_text(encoding="utf-8")
+        at = text.index('"category_description": "') + len('"category_description": "')
+        library = tmp_path / "library.json"
+        library.write_text(text[:at] + "\\ud83c\\udfb5 " + text[at:], encoding="utf-8")
+        assert run(["validate", "--in", str(library)]).exit_code == 0
+        out = tmp_path / "summarized.json"
+        assert run(["summarize", "--in", str(library), "--out", str(out)]).exit_code == 0
+        assert "\U0001f3b5 " in out.read_text(encoding="utf-8")
+
     def test_missing_default_prompts_file_is_io_failure(self, fixture_dir, tmp_path,
                                                         monkeypatch, capsys):
         import sdsr.cli as cli_module
@@ -200,6 +227,57 @@ class TestSummarizeStripCondition:
         out = tmp_path / "stripped.json"
         run(["strip", "--in", str(fixture_dir / "library_r1.json"), "--out", str(out)])
         assert '"_summary"' not in out.read_text(encoding="utf-8")
+
+    @pytest.mark.parametrize("command,source,expected", [
+        ("strip", "library_r1.json", "library_r1_bare.json"),
+        ("summarize", "library_r1.json", "library_r1.json"),
+        ("strip", "library_r1_bare.json", "library_r1_bare.json"),
+    ])
+    def test_committed_fixtures_rewrite_byte_for_byte(self, fixture_dir, tmp_path,
+                                                      command, source, expected):
+        out = tmp_path / "out.json"
+        assert run([command, "--in", str(fixture_dir / source), "--out", str(out)]).exit_code == 0
+        assert out.read_bytes() == (fixture_dir / expected).read_bytes()
+
+    @pytest.mark.parametrize("override", [True, False], ids=["--body-key", "detected"])
+    def test_body_is_written_under_the_key_it_was_read_under(self, fixture_dir, tmp_path,
+                                                            override):
+        def renamed(name):
+            path = tmp_path / f"renamed_{name}"
+            path.write_bytes((fixture_dir / name).read_bytes().replace(
+                b'"High_Impact_Skills_Library"', b'"My_Skills"', 1))
+            return path
+
+        key = ["--body-key", "My_Skills"] if override else []
+        full, bare = renamed("library_r1.json"), renamed("library_r1_bare.json")
+        out = tmp_path / "out.json"
+        for command, source, expected in [
+                ("summarize", full, full), ("strip", full, bare), ("strip", bare, bare)]:
+            assert run([command, "--in", str(source), "--out", str(out), *key]).exit_code == 0
+            assert out.read_bytes() == expected.read_bytes()
+        for command, extra in [("summarize", []),
+                               ("expand", ["--specs", str(fixture_dir / "round2_specs.json")])]:
+            assert run([command, "--in", str(bare), "--out", str(out), *key, *extra]
+                       ).exit_code == 0
+            keys = [k for k in json.loads(out.read_text(encoding="utf-8")) if k[0] != "_"]
+            assert keys == ["My_Skills"]
+            assert run(["validate", "--in", str(out), *key]).exit_code == 0
+
+    def test_bench_reads_back_artifacts_under_an_underscore_body_key(self, fixture_dir,
+                                                                      tmp_path):
+        library = tmp_path / "library.json"
+        library.write_bytes((fixture_dir / "library_r1.json").read_bytes().replace(
+            b'"High_Impact_Skills_Library"', b'"_skills"', 1))
+        outcome = run(["--format", "json", "bench", "--conditions", "A,D", "--body-key", "_skills",
+                       "--lib", str(library), "--questions", str(fixture_dir / "questions_20.json"),
+                       "--out-dir", str(tmp_path / "out")])
+        assert outcome.exit_code == 0
+        assert [entry["primary_accuracy"] for entry in json.loads(outcome.stdout_payload)] == [
+            entry["primary_accuracy"] for entry in json.loads(run([
+                "--format", "json", "bench", "--conditions", "A,D",
+                "--lib", str(fixture_dir / "library_r1.json"),
+                "--questions", str(fixture_dir / "questions_20.json")]).stdout_payload)]
+        assert '"_skills"' in (tmp_path / "out" / "transcript_D.txt").read_text(encoding="utf-8")
 
     @pytest.mark.parametrize("version,expect_summary", [
         ("A", False), ("B", True), ("C", False), ("D", True)])

@@ -1,8 +1,11 @@
+from dataclasses import replace
+
 import pytest
 
 from sdsr.errors import EmptyLibrary
 from sdsr.fixtures import fixture_prompt_config
 from sdsr.guidance import (
+    DEFAULT_LLM_INSTRUCTIONS,
     HighPriorityEntry,
     PromptConfig,
     build_condition,
@@ -10,7 +13,7 @@ from sdsr.guidance import (
     expand_extended_prompt,
     strip_summary,
 )
-from sdsr.library import Category, KnowledgeLibrary, Skill, validate_library
+from sdsr.library import Category, KnowledgeLibrary, Skill, SummaryBlock, validate_library
 
 TABLE_TARGETS = [
     "Axiomatic_Logic_&_Audit_Systems",
@@ -57,7 +60,9 @@ class TestBuildSummary:
             build_summary(KnowledgeLibrary())
 
     def test_idempotent_up_to_summary_replacement(self, bare_library):
-        once = build_summary(bare_library, routing_roles={"anchor": ("Visual_Architecture",)})
+        previous = SummaryBlock(llm_instructions=DEFAULT_LLM_INSTRUCTIONS,
+                                routing_roles={"anchor": ("Visual_Architecture",)})
+        once = build_summary(replace(bare_library, summary=previous))
         twice = build_summary(once)
         assert once == twice
 

@@ -312,50 +312,66 @@ _TOP_LEVEL_VALUES = st.one_of(
     st.dictionaries(_TEXT, st.integers(), max_size=3))
 
 
+# One of these is inserted into a malformed summary, or "" deletes a character.
+_EDITS = ("", *',:}]["x1 ')
+
+
 @st.composite
 def prefix_files(draw):
-    """(file bytes, values before the summary?, untruncated?) for one case."""
+    """(file bytes, values before the summary?, intact?) for one case.
+
+    A case may have one character of its summary deleted or inserted, and
+    may be cut short; an intact case has neither.
+    """
     members = draw(st.lists(st.tuples(_TEXT, _TOP_LEVEL_VALUES), max_size=3))
     leading = bool(members)
     members += [("_summary", draw(_SUMMARIES)), ("Body", draw(_TOP_LEVEL_VALUES))]
     ascii_only = draw(st.booleans())
     indent = draw(st.sampled_from([None, 1]))
+    values = [json.dumps(value, ensure_ascii=ascii_only, indent=indent) for _, value in members]
+    malformed = draw(st.booleans())
+    if malformed:
+        summary = values[-2]
+        at = draw(st.integers(0, len(summary) - 1))
+        edit = draw(st.sampled_from(_EDITS))
+        values[-2] = summary[:at] + edit + summary[at + (not edit):]
     data = ("{" + ", ".join(
-        f"{json.dumps(key, ensure_ascii=ascii_only)}: "
-        f"{json.dumps(value, ensure_ascii=ascii_only, indent=indent)}"
-        for key, value in members) + "}").encode("utf-8")
+        f"{json.dumps(key, ensure_ascii=ascii_only)}: {value}"
+        for (key, _), value in zip(members, values)) + "}").encode("utf-8")
     if draw(st.booleans()):
         data = b"\xef\xbb\xbf" + data
     cut = draw(st.none() | st.integers(0, len(data)))
-    return data[:cut], leading, cut is None
+    return data[:cut], leading, cut is None and not malformed
 
 
 def _outcome(path, block_size, strict):
     try:
         result = extract_summary(path, block_size=block_size, strict=strict)
     except MalformedFile as exc:
-        return type(exc)
+        return type(exc), str(exc)
     assert result.summary_end_offset <= result.bytes_read
     assert result.bytes_read <= result.summary_end_offset + block_size
     return result.summary, result.summary_end_offset, result.warning
 
 
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=300, deadline=None)
 @given(case=prefix_files())
+@example(case=(b'{"_summary": {"category_index": [], "_llm_instructions": "x",}, "B": {}}',
+               False, False))
 def test_outcome_is_independent_of_block_size(tmp_path_factory, case):
-    data, leading, untruncated = case
+    data, leading, intact = case
     path = tmp_path_factory.mktemp("prop") / "case.json"
     path.write_bytes(data)
     for strict in (True, False):
         outcomes = [_outcome(path, block_size, strict) for block_size in BLOCK_SIZES]
         assert all(outcome == outcomes[0] for outcome in outcomes), (strict, outcomes)
-    if untruncated:
+    if intact:
         value, end = oracle_summary_end(path)
         summary, summary_end, warning = _outcome(path, 4096, strict=not leading)
         assert (summary, summary_end) == (decode(SummaryBlock, value), end)
         assert (warning is not None) == leading
         if leading:
-            assert _outcome(path, 4096, strict=True) is SummaryNotFirst
+            assert _outcome(path, 4096, strict=True)[0] is SummaryNotFirst
 
 
 class TestTokenEstimation:
@@ -401,7 +417,7 @@ def test_summary_token_sum_independent_of_body_size(tmp_path):
         (small_dir / f"f{i}.json").write_text(serialize_library(lib), encoding="utf-8")
         # pad skill descriptions only: hints and counts stay identical
         grown = build_summary(
-            KnowledgeLibrary(categories=tuple(
+            KnowledgeLibrary(summary=lib.summary, categories=tuple(
                 Category(
                     name=cat.name, description=cat.description,
                     abstraction_level=cat.abstraction_level, complement=cat.complement,
@@ -409,10 +425,7 @@ def test_summary_token_sum_independent_of_body_size(tmp_path):
                         Skill(name=s.name, description=s.description + " pad" * 2000)
                         for s in cat.skills),
                 )
-                for cat in lib.categories)),
-            llm_instructions=lib.summary.llm_instructions,
-            routing_roles=dict(lib.summary.routing_roles),
-        )
+                for cat in lib.categories)))
         assert grown.summary == lib.summary
         (big_dir / f"f{i}.json").write_text(serialize_library(grown), encoding="utf-8")
 
@@ -429,9 +442,9 @@ def test_read_registry_summaries_order_and_budget(tmp_path):
         lib = build_fixture_library()
         (tmp_path / f"f{i}.json").write_text(serialize_library(lib), encoding="utf-8")
     registry = scan_registry(tmp_path)
-    results, findings = read_registry_summaries(registry, token_budget=10)
+    results, findings = read_registry_summaries(registry)
     assert [fid for fid, _ in results] == ["f0.json", "f1.json", "f2.json"]
-    # 36-entry index blows a 10-token budget: one overrun finding per file
+    # 36-entry index (1,704 tokens) blows the 200-token budget: one overrun finding per file
     assert [f.code for f in findings] == ["TOKEN_BUDGET_OVERRUN"] * 3
 
 
@@ -463,7 +476,7 @@ class TestSummaryLengthCache:
             return compute(summary)
 
         monkeypatch.setattr(SummaryBlock.compact_length, "func", counting)
-        results, findings = read_registry_summaries(scan_registry(tmp_path), token_budget=10)
+        results, findings = read_registry_summaries(scan_registry(tmp_path))
         route_tier1(RoutingRequest(query="map competitor weak points",
                                    summaries=tuple((fid, r.summary) for fid, r in results)),
                     LexicalBackend())

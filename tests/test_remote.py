@@ -2,9 +2,10 @@ import json
 
 import pytest
 
+from sdsr.bench import run_benchmark
 from sdsr.errors import TransportError
-from sdsr.fixtures import build_fixture_library
-from sdsr.guidance import build_summary
+from sdsr.fixtures import build_fixture_library, fixture_prompt_config
+from sdsr.guidance import build_condition, build_summary
 from sdsr.library import Category, KnowledgeLibrary, Skill
 from sdsr.remote import RemoteBackend, RemoteConfig
 from sdsr.wire import decode
@@ -182,6 +183,17 @@ class TestSelect:
         backend = RemoteBackend(make_config(), transport=transport)
         backend.select([(1, "q")], [lib], artifact=artifact)
         assert "Marker_Cat" in transport.calls[0]["payload"]["messages"][0]["content"]
+
+    def test_benchmark_transcript_is_the_conversation_sent(self, questions):
+        condition = build_condition(build_fixture_library(), "D", fixture_prompt_config())
+        reply = "Q01: Visual_Architecture | Moodboard_Digest"
+        transport = RecordingTransport([(200, chat_body(reply))])
+        [result] = run_benchmark(
+            [condition], questions, RemoteBackend(make_config(), transport=transport))
+        system, user = transport.calls[0]["payload"]["messages"]
+        assert system == {"role": "system", "content": condition.system_prompt}
+        assert result.transcript == (system["content"] + "\n\n" + user["content"]
+                                     + "\n\n--- response ---\n" + reply + "\n")
 
     def test_declares_nondeterminism(self):
         assert RemoteBackend(make_config()).deterministic is False
