@@ -4,93 +4,7 @@ The package covers the full loop: a JSON library format whose first key
 is a navigational summary block, a prefix reader that loads only that
 block, guidance-condition construction, distractor-based library
 expansion, deterministic (or remote) routing and selection, and a
-scoring harness for routing benchmarks.
+scoring harness for routing benchmarks.  The API is the modules
+themselves (``sdsr.library``, ``sdsr.prefix``, ``sdsr.engine``, ...);
+this namespace re-exports nothing.
 """
-
-from .errors import (
-    AllSelectionsInvalid,
-    DanglingComplement,
-    DanglingReference,
-    EmptyDocument,
-    EmptyKey,
-    EmptyLibrary,
-    EmptyLoadSet,
-    IoFailure,
-    MalformedFile,
-    NameCollision,
-    NoFiles,
-    NoSummary,
-    SdsrError,
-    SummaryNotFirst,
-    TransportError,
-    UnknownCategory,
-    UnknownQuestion,
-    UnknownTarget,
-)
-from .library import (
-    Category,
-    CategoryIndexEntry,
-    Finding,
-    KnowledgeLibrary,
-    Skill,
-    SummaryBlock,
-    deserialize_library,
-    serialize_library,
-    surface_similarity,
-    validate_library,
-)
-from .prefix import (
-    FileRegistry,
-    PrefixReadResult,
-    estimate_tokens,
-    extract_summary,
-    scan_registry,
-    summary_token_estimate,
-)
-from .guidance import (
-    GuidanceCondition,
-    HighPriorityEntry,
-    PromptConfig,
-    build_condition,
-    build_summary,
-    strip_summary,
-)
-from .distractors import (
-    DistractorSpec,
-    ExpansionResult,
-    RoundConfig,
-    expand_round,
-    generate_distractors,
-    inject_interleaved,
-)
-from .engine import (
-    LexicalBackend,
-    RouterBackend,
-    RoutingRequest,
-    RoutingResult,
-    Selection,
-    SelectionSet,
-    apply_complement_pass,
-    lexical_score,
-    resolve_complement,
-    route_tier1,
-    select_tier2,
-)
-from .bench import (
-    Question,
-    ScoreReport,
-    format_selections,
-    parse_response,
-    run_benchmark,
-    score_responses,
-)
-from .corpus import (
-    CrossReference,
-    DocSummary,
-    SectionedDocument,
-    build_doc_summary,
-    resolve_coload,
-    section_document,
-)
-
-__version__ = "0.1.0"

@@ -15,7 +15,7 @@ import sys
 from dataclasses import dataclass
 from pathlib import Path
 
-from . import bench, corpus, distractors, engine, fixtures, guidance, prefix
+from . import bench, corpus, distractors, engine, guidance, prefix
 from .errors import IoFailure, MalformedFile, SdsrError, TransportError
 from .library import (
     DEFAULT_HINT_MAX,
@@ -32,9 +32,6 @@ EXIT_OK = 0
 EXIT_VALIDATION = 1
 EXIT_USAGE = 2
 EXIT_TRANSPORT = 3
-
-# The prompt config that --prompts reads when not given: the checkout's fixture file.
-DEFAULT_PROMPTS = fixtures.FIXTURES_DIR / "prompts.json"
 
 
 @dataclass(frozen=True)
@@ -61,6 +58,8 @@ def _parse_json(path: str, text: str) -> object:
         data = json.loads(text)
     except json.JSONDecodeError as exc:
         raise MalformedFile(f"{path}: invalid JSON: {exc}") from None
+    except RecursionError:
+        raise MalformedFile(f"{path}: nested too deeply to decode") from None
     if _SURROGATE_ESCAPE.search(text):
         # A pair of escapes decodes to one character; a lone one stays a surrogate.
         try:
@@ -88,6 +87,10 @@ def _load_library(path: str, body_key: str | None = None):
 
 def _load_config(path: str | None) -> dict:
     return decode(dict[str, object], _load_json(path)) if path else {}
+
+
+def _load_prompts(path: str | None) -> guidance.PromptConfig:
+    return decode(guidance.PromptConfig, _load_json(path)) if path else guidance.PromptConfig()
 
 
 def _make_backend(name: str, config: dict):
@@ -149,7 +152,7 @@ def _cmd_strip(args) -> CommandOutcome:
 
 def _cmd_condition(args) -> CommandOutcome:
     lib = _load_library(args.infile, args.body_key)
-    prompts = decode(guidance.PromptConfig, _load_json(args.prompts))
+    prompts = _load_prompts(args.prompts)
     cond = guidance.build_condition(lib, args.version, prompts, hint_max=args.hint_max)
     out_dir = Path(args.out_dir)
     lib_path = out_dir / f"library_{cond.condition}.json"
@@ -244,7 +247,7 @@ def _cmd_bench(args) -> CommandOutcome:
     lib = _load_library(args.lib, args.body_key)
     questions = bench.decode_questions(_load_json(args.questions))
     _print_findings_stderr(bench.lint_questions(questions))
-    prompts = decode(guidance.PromptConfig, _load_json(args.prompts))
+    prompts = _load_prompts(args.prompts)
     conditions = [
         guidance.build_condition(lib, name.strip(), prompts, hint_max=args.hint_max)
         for name in args.conditions.split(",") if name.strip()
@@ -366,8 +369,8 @@ def build_parser() -> argparse.ArgumentParser:
     common_lib(p)
     p.add_argument("--version", required=True, choices=guidance.CONDITIONS)
     p.add_argument("--out-dir", required=True)
-    p.add_argument("--prompts", default=str(DEFAULT_PROMPTS),
-                   help="prompt config JSON (default: fixtures/prompts.json of the checkout)")
+    p.add_argument("--prompts", default=None,
+                   help="prompt config JSON (default: built-in templates, no high_priority rules)")
     p.add_argument("--hint-max", type=int, default=DEFAULT_HINT_MAX)
     p.set_defaults(func=_cmd_condition)
 
@@ -405,8 +408,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--lib", required=True)
     p.add_argument("--body-key", default=None)
     p.add_argument("--questions", required=True)
-    p.add_argument("--prompts", default=str(DEFAULT_PROMPTS),
-                   help="prompt config JSON (default: fixtures/prompts.json of the checkout)")
+    p.add_argument("--prompts", default=None,
+                   help="prompt config JSON (default: built-in templates, no high_priority rules)")
     p.add_argument("--backend", choices=("lexical", "remote"), default="lexical")
     p.add_argument("--out-dir", default=None, help="persist transcripts and report.csv here")
     p.add_argument("--hint-max", type=int, default=DEFAULT_HINT_MAX)

@@ -21,8 +21,6 @@ from .engine import weighted_overlap
 from .prefix import estimate_tokens
 from .wire import encode
 
-SECTION_ROLES = ("claimant", "respondent", "reasoning", "holding", "other")
-
 DEFAULT_SUMMARY_BUDGET = 400
 
 
@@ -41,12 +39,6 @@ class SectionedDocument:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "sections", tuple(self.sections))
-
-    def section(self, section_id: str) -> Section | None:
-        for sec in self.sections:
-            if sec.section_id == section_id:
-                return sec
-        return None
 
 
 @dataclass(frozen=True)

@@ -129,6 +129,8 @@ def build_summary(lib: KnowledgeLibrary, hint_max: int = DEFAULT_HINT_MAX) -> Kn
     when present, else they are the shipped template and an empty role
     map.  Building twice equals building once.
     """
+    if hint_max < 0:
+        raise ValueError("hint_max must be >= 0")
     if not lib.categories:
         raise EmptyLibrary("cannot summarize a library with no categories")
     previous = lib.summary or SummaryBlock(llm_instructions=DEFAULT_LLM_INSTRUCTIONS)

@@ -226,6 +226,8 @@ def validate_library(
     produced.  The function is pure: identical inputs yield identical
     findings in identical order.
     """
+    if hint_max < 0:
+        raise ValueError("hint_max must be >= 0")
     findings: list[Finding] = []
     seen: set[str] = set()
 

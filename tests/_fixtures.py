@@ -1,4 +1,4 @@
-"""Shipped synthetic fixture content, loaded from the checkout's ``fixtures/``.
+"""The tests' loader for the committed synthetic fixtures in ``fixtures/``.
 
 The committed files are the only copy of the library, questions, round
 configs, prompts, selections and judgment corpus; each function decodes
@@ -10,15 +10,15 @@ from __future__ import annotations
 import json
 from pathlib import Path
 
-from .bench import Question, decode_questions
-from .corpus import CrossReference, SectionRule
-from .distractors import RoundConfig
-from .engine import SelectionSet
-from .guidance import PromptConfig
-from .library import KnowledgeLibrary, deserialize_library
-from .wire import decode
+from sdsr.bench import Question, decode_questions
+from sdsr.corpus import CrossReference, SectionRule
+from sdsr.distractors import RoundConfig
+from sdsr.engine import SelectionSet
+from sdsr.guidance import PromptConfig
+from sdsr.library import KnowledgeLibrary, deserialize_library
+from sdsr.wire import decode
 
-FIXTURES_DIR = Path(__file__).resolve().parents[2] / "fixtures"
+FIXTURES_DIR = Path(__file__).resolve().parent.parent / "fixtures"
 
 
 def _text(name: str) -> str:

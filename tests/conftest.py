@@ -1,7 +1,8 @@
 import pytest
 
 from sdsr.engine import LexicalBackend
-from sdsr.fixtures import build_fixture_library, build_fixture_questions
+
+from _fixtures import build_fixture_library, build_fixture_questions
 
 
 @pytest.fixture(scope="session")

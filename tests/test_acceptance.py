@@ -29,14 +29,6 @@ from sdsr.engine import (
     route_tier1,
     select_tier2,
 )
-from sdsr.fixtures import (
-    build_fixture_library,
-    build_fixture_questions,
-    fixture_prompt_config,
-    round1_selection_fixture,
-    round2_config,
-    round3_config,
-)
 from sdsr.guidance import build_condition, build_summary
 from sdsr.library import (
     Category,
@@ -50,6 +42,14 @@ from sdsr.prefix import estimate_tokens, extract_summary, scan_registry, \
     summary_token_estimate
 from sdsr.wire import decode
 
+from _fixtures import (
+    build_fixture_library,
+    build_fixture_questions,
+    fixture_prompt_config,
+    round1_selection_fixture,
+    round2_config,
+    round3_config,
+)
 from _generators import (
     library_with_big_body,
     random_document,

@@ -14,9 +14,10 @@ from sdsr.bench import (
 )
 from sdsr.engine import QuestionSelection, Selection, SelectionSet
 from sdsr.errors import EmptyKey, MalformedFile, TransportError, UnknownQuestion
-from sdsr.fixtures import fixture_prompt_config, round1_selection_fixture
 from sdsr.guidance import build_condition
 from sdsr.wire import decode, encode
+
+from _fixtures import fixture_prompt_config, round1_selection_fixture
 
 
 class TestParseResponse:

@@ -7,15 +7,16 @@ import pytest
 
 from sdsr import prefix
 from sdsr.cli import dispatch, main
+from sdsr.guidance import PromptConfig, expand_extended_prompt
 from sdsr.library import deserialize_library
 
-COMMITTED_FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
+from _fixtures import FIXTURES_DIR
 
 
 @pytest.fixture(scope="module")
 def fixture_dir():
     """The committed fixtures, read in place: no test may write here."""
-    return COMMITTED_FIXTURES
+    return FIXTURES_DIR
 
 
 def run(argv):
@@ -69,6 +70,20 @@ def error_lines(capsys):
     err = capsys.readouterr().err
     assert "Traceback" not in err
     return [line for line in err.splitlines() if line.startswith("ERROR")]
+
+
+@pytest.mark.parametrize("command", [
+    ["validate"],
+    ["summarize", "--out", "{tmp}/out.json"],
+    ["condition", "--version", "B", "--out-dir", "{tmp}/out"],
+    ["expand", "--specs", "{fixtures}/round2_specs.json", "--out", "{tmp}/out.json"],
+], ids=lambda command: command[0])
+def test_negative_hint_max_is_a_usage_error(fixture_dir, tmp_path, capsys, command):
+    argv = [arg.format(tmp=tmp_path, fixtures=fixture_dir) for arg in command]
+    outcome = run(argv + ["--in", str(fixture_dir / "library_r1.json"), "--hint-max", "-1"])
+    assert outcome.exit_code == 2
+    assert error_lines(capsys) == ["ERROR hint_max must be >= 0"]
+    assert list(tmp_path.iterdir()) == []
 
 
 class TestReadWriteFailures:
@@ -136,17 +151,12 @@ class TestReadWriteFailures:
         assert run(["summarize", "--in", str(library), "--out", str(out)]).exit_code == 0
         assert "\U0001f3b5 " in out.read_text(encoding="utf-8")
 
-    def test_missing_default_prompts_file_is_io_failure(self, fixture_dir, tmp_path,
-                                                        monkeypatch, capsys):
-        import sdsr.cli as cli_module
-
-        monkeypatch.setattr(cli_module, "DEFAULT_PROMPTS", tmp_path / "gone" / "prompts.json")
-        outcome = run(["condition", "--version", "C", "--in", str(fixture_dir / "library_r1.json"),
-                       "--out-dir", str(tmp_path / "out")])
-        assert outcome.exit_code == 2
-        [line] = error_lines(capsys)
-        assert line.startswith("ERROR IoFailure: cannot read ")
-        assert "prompts.json" in line
+    def test_deeply_nested_input_is_malformed(self, tmp_path, capsys):
+        deep = tmp_path / "deep.json"
+        deep.write_text("[" * 100_000 + "]" * 100_000, encoding="utf-8")
+        outcome = run(["validate", "--in", str(deep)])
+        assert outcome.exit_code == 1
+        assert error_lines(capsys) == [f"ERROR MalformedFile: {deep}: nested too deeply to decode"]
 
 
 class TestScore:
@@ -299,6 +309,17 @@ class TestSummarizeStripCondition:
         assert prompt.startswith("You are a professional Prompt Engineer.")
         if version in ("C", "D"):
             assert "Priority rule: when a broad" in prompt
+
+    def test_without_prompts_the_built_in_config_is_used(self, fixture_dir, tmp_path):
+        library = str(fixture_dir / "library_r1.json")
+        outcome = run(["condition", "--version", "C", "--in", library,
+                       "--out-dir", str(tmp_path / "out")])
+        assert outcome.exit_code == 0
+        assert (tmp_path / "out" / "prompt_C.txt").read_text(encoding="utf-8") == (
+            expand_extended_prompt(PromptConfig()) + "\n")
+        outcome = run(["bench", "--conditions", "A,B,C,D", "--lib", library,
+                       "--questions", str(fixture_dir / "questions_20.json")])
+        assert outcome.exit_code == 0
 
 
 class TestExpand:
@@ -599,11 +620,11 @@ class TestPinnedOutput:
     @pytest.fixture(scope="class")
     def round3_library(self, tmp_path_factory):
         work = tmp_path_factory.mktemp("round3")
-        dispatch(["expand", "--in", str(COMMITTED_FIXTURES / "library_r1.json"),
-                  "--specs", str(COMMITTED_FIXTURES / "round2_specs.json"),
+        dispatch(["expand", "--in", str(FIXTURES_DIR / "library_r1.json"),
+                  "--specs", str(FIXTURES_DIR / "round2_specs.json"),
                   "--out", str(work / "lib_r2.json")])
         dispatch(["expand", "--in", str(work / "lib_r2.json"),
-                  "--specs", str(COMMITTED_FIXTURES / "round3_specs.json"),
+                  "--specs", str(FIXTURES_DIR / "round3_specs.json"),
                   "--out", str(work / "lib_r3.json")])
         return work / "lib_r3.json"
 
@@ -632,18 +653,19 @@ class TestPinnedOutput:
     ])
     def test_bench_conditions_abcd(self, library, stdout_sha, files_sha, round3_library,
                                    tmp_path, capsys):
-        lib = COMMITTED_FIXTURES / "library_r1.json" if library == "round1" else round3_library
+        lib = FIXTURES_DIR / "library_r1.json" if library == "round1" else round3_library
         argv = ["--format", "json", "bench", "--conditions", "A,B,C,D",
-                "--lib", str(lib), "--questions", str(COMMITTED_FIXTURES / "questions_20.json"),
+                "--lib", str(lib), "--questions", str(FIXTURES_DIR / "questions_20.json"),
+                "--prompts", str(FIXTURES_DIR / "prompts.json"),
                 "--out-dir", str(tmp_path / "out")]
         assert self.stdout_digest(argv, capsys) == stdout_sha
         assert self.files_digest(tmp_path / "out") == files_sha
 
     def test_select_over_round1_and_round3(self, round3_library, capsys):
         query = json.loads(
-            (COMMITTED_FIXTURES / "questions_20.json").read_text(encoding="utf-8"))[0]["text"]
+            (FIXTURES_DIR / "questions_20.json").read_text(encoding="utf-8"))[0]["text"]
         argv = ["--format", "json", "select", "--query", query,
-                "--libs", f"{COMMITTED_FIXTURES / 'library_r1.json'},{round3_library}",
+                "--libs", f"{FIXTURES_DIR / 'library_r1.json'},{round3_library}",
                 "--complement-pass"]
         assert self.stdout_digest(argv, capsys) == (
             "14e571cc233b329bbef0438debc3cd93e9226e32981471b783665a1f5a0d6a07")
@@ -672,7 +694,7 @@ class TestPinnedOutput:
         name sorts before that subdirectory as a string but after it by path parts."""
         root = tmp_path_factory.mktemp("registry")
         (root / "lib").mkdir()
-        shutil.copy(COMMITTED_FIXTURES / "library_r1.json", root / "library_r1.json")
+        shutil.copy(FIXTURES_DIR / "library_r1.json", root / "library_r1.json")
         shutil.copy(round3_library, root / "lib" / "round3.json")
         (root / "lib-escapes.json").write_text(
             json.dumps(self.ESCAPES_LIBRARY, ensure_ascii=False), encoding="utf-8")
@@ -680,7 +702,7 @@ class TestPinnedOutput:
 
     def test_route_over_a_mixed_registry(self, registry, capsys):
         query = json.loads(
-            (COMMITTED_FIXTURES / "questions_20.json").read_text(encoding="utf-8"))[0]["text"]
+            (FIXTURES_DIR / "questions_20.json").read_text(encoding="utf-8"))[0]["text"]
         capsys.readouterr()
         assert main(["--format", "json", "route", "--query", query, "--dir", str(registry)]) == 0
         out, err = capsys.readouterr()
@@ -700,7 +722,7 @@ class TestPinnedOutput:
 
     def test_score_selections(self, capsys):
         argv = ["--format", "json", "score",
-                "--selections", str(COMMITTED_FIXTURES / "selections_r1_B.json"),
-                "--key", str(COMMITTED_FIXTURES / "questions_20.json")]
+                "--selections", str(FIXTURES_DIR / "selections_r1_B.json"),
+                "--key", str(FIXTURES_DIR / "questions_20.json")]
         assert self.stdout_digest(argv, capsys) == (
             "cd1954fb81921bca75fdf996b50737cb8b262b63f87fd2b1ba76f18bf446906e")

@@ -12,8 +12,9 @@ from sdsr.corpus import (
     section_document,
 )
 from sdsr.errors import DanglingReference, EmptyDocument
-from sdsr.fixtures import fixture_judgment
 from sdsr.wire import decode, encode
+
+from _fixtures import fixture_judgment
 
 
 @pytest.fixture(scope="module")

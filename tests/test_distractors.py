@@ -9,8 +9,9 @@ from sdsr.distractors import (
     interleave_positions,
 )
 from sdsr.errors import NameCollision, UnknownTarget
-from sdsr.fixtures import round2_config, round3_config
 from sdsr.library import Category, KnowledgeLibrary, Skill, validate_library
+
+from _fixtures import round2_config, round3_config
 
 
 def spacing_report(categories):

@@ -23,9 +23,10 @@ from sdsr.errors import (
     NoFiles,
     UnknownCategory,
 )
-from sdsr.fixtures import round2_config
 from sdsr.guidance import build_summary
 from sdsr.library import Category, CategoryIndexEntry, KnowledgeLibrary, Skill, tokenize
+
+from _fixtures import round2_config
 
 
 def oracle_tokens(text):

@@ -3,7 +3,6 @@ from dataclasses import replace
 import pytest
 
 from sdsr.errors import EmptyLibrary
-from sdsr.fixtures import fixture_prompt_config
 from sdsr.guidance import (
     DEFAULT_LLM_INSTRUCTIONS,
     HighPriorityEntry,
@@ -14,6 +13,8 @@ from sdsr.guidance import (
     strip_summary,
 )
 from sdsr.library import Category, KnowledgeLibrary, Skill, SummaryBlock, validate_library
+
+from _fixtures import fixture_prompt_config
 
 TABLE_TARGETS = [
     "Axiomatic_Logic_&_Audit_Systems",

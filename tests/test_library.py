@@ -3,7 +3,6 @@ import dataclasses
 import pytest
 
 from sdsr.errors import MalformedFile
-from sdsr.fixtures import round2_config
 from sdsr.guidance import build_summary
 from sdsr.library import (
     Category,
@@ -17,6 +16,8 @@ from sdsr.library import (
     surface_similarity,
     validate_library,
 )
+
+from _fixtures import round2_config
 
 
 def _simple_library(n_categories, with_summary=True):

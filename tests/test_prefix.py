@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 
 from sdsr.engine import LexicalBackend, RoutingRequest, route_tier1
 from sdsr.errors import IoFailure, MalformedFile, NoSummary, SummaryNotFirst
-from sdsr.fixtures import build_fixture_library
 from sdsr.library import CategoryIndexEntry, SummaryBlock, serialize_library
 from sdsr.prefix import (
     estimate_tokens,
@@ -19,6 +18,7 @@ from sdsr.prefix import (
 )
 from sdsr.wire import decode, encode
 
+from _fixtures import build_fixture_library
 from _generators import library_with_big_body
 
 

@@ -12,7 +12,6 @@ import json
 import random
 import re
 from dataclasses import replace
-from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -45,6 +44,7 @@ from sdsr.library import (
 )
 from sdsr.prefix import estimate_tokens
 
+from _fixtures import FIXTURES_DIR
 from _generators import (
     random_document,
     random_library,
@@ -417,8 +417,6 @@ def test_tokenize_unicode_examples(text, expected):
 # names in a command are files of fixtures/; OUT and OUTDIR are temporary
 # output paths.
 
-FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
-
 STRUCTURE = ["structure", "--rules", "judgment_rules.json", "--in", "judgment.txt",
              "--out", "OUT", "--digests", "judgment_digests.json",
              "--refs", "judgment_refs.json"]
@@ -469,7 +467,7 @@ def _run_reader(name, text, workdir):
     (workdir / "input.json").write_text(text, encoding="utf-8")
     argv = [str(workdir / "input.json") if arg == name
             else str(workdir / arg) if arg in ("OUT", "OUTDIR")
-            else str(FIXTURES / arg) if (FIXTURES / arg).is_file() else arg
+            else str(FIXTURES_DIR / arg) if (FIXTURES_DIR / arg).is_file() else arg
             for arg in READERS[name]]
     err = io.StringIO()
     with contextlib.redirect_stderr(err):
@@ -484,7 +482,7 @@ def workdir(tmp_path_factory):
 
 @pytest.mark.parametrize("name", sorted(READERS))
 def test_every_reader_accepts_its_fixture(name, workdir):
-    code, err = _run_reader(name, (FIXTURES / name).read_text(encoding="utf-8"), workdir)
+    code, err = _run_reader(name, (FIXTURES_DIR / name).read_text(encoding="utf-8"), workdir)
     assert (code, [line for line in err.splitlines() if line.startswith("ERROR")]) == (0, [])
 
 
@@ -492,7 +490,7 @@ def test_every_reader_accepts_its_fixture(name, workdir):
 @settings(max_examples=25, deadline=None)
 @given(data=st.data())
 def test_a_mutated_input_file_never_escapes_as_a_traceback(name, workdir, data):
-    original = json.loads((FIXTURES / name).read_text(encoding="utf-8"))
+    original = json.loads((FIXTURES_DIR / name).read_text(encoding="utf-8"))
     path = data.draw(st.sampled_from(list(_key_paths(original))), label="path")
     mutation = data.draw(st.sampled_from(MUTATIONS), label="mutation")
     text = json.dumps(_mutated(original, path, mutation))
@@ -532,6 +530,13 @@ def _set(*path_and_value):
      "extended_template: unknown placeholder {oops}"),
     ("prompts.json", _set("extended_template", "x {high_priority} }"),
      "extended_template: Single '}' encountered in format string"),
+    # Keys the prompts fixture leaves to their defaults, so no key-path mutation reaches them.
+    ("prompts.json", _set("minimal_template", 7),
+     "minimal_template: expected a string, got an integer"),
+    ("prompts.json", _set("priority_rule", None),
+     "priority_rule: expected a string, got null"),
+    ("prompts.json", _set("extended_template", []),
+     "extended_template: expected a string, got a list"),
     ("round2_specs.json", lambda data: {"round_id": 2, "distractors": [{}]},
      "distractors[0].tier: missing required key"),
     ("round2_specs.json", _set("distractors", 0, "theta", "0.3"),
@@ -547,17 +552,18 @@ def _set(*path_and_value):
         "selection-secondary-list", "rule-pattern-missing", "rule-pattern-bad-regex",
         "ref-to-section-missing", "digests-list", "prompt-confused-with-missing",
         "prompt-placeholder-missing", "prompt-placeholder-unknown",
-        "prompt-brace-unbalanced", "spec-tier-missing", "spec-theta-string",
-        "skill-name-integer", "provenance-string"])
+        "prompt-brace-unbalanced", "prompt-minimal-template-integer",
+        "prompt-priority-rule-null", "prompt-extended-template-list", "spec-tier-missing",
+        "spec-theta-string", "skill-name-integer", "provenance-string"])
 def test_a_malformed_input_file_exits_one_naming_the_key_path(name, change, error, workdir):
-    original = json.loads((FIXTURES / name).read_text(encoding="utf-8"))
+    original = json.loads((FIXTURES_DIR / name).read_text(encoding="utf-8"))
     code, err = _run_reader(name, json.dumps(change(original)), workdir)
     assert (code, err.splitlines()) == (1, [f"ERROR MalformedFile: {error}"])
 
 
 @pytest.mark.parametrize("name", sorted(READERS))
 def test_a_truncated_input_file_exits_one_naming_the_file(name, workdir):
-    text = (FIXTURES / name).read_text(encoding="utf-8")
+    text = (FIXTURES_DIR / name).read_text(encoding="utf-8")
     code, err = _run_reader(name, text[:len(text) // 2], workdir)
     assert code == 1
     [line] = err.splitlines()

@@ -4,11 +4,12 @@ import pytest
 
 from sdsr.bench import run_benchmark
 from sdsr.errors import TransportError
-from sdsr.fixtures import build_fixture_library, fixture_prompt_config
 from sdsr.guidance import build_condition, build_summary
 from sdsr.library import Category, KnowledgeLibrary, Skill
 from sdsr.remote import RemoteBackend, RemoteConfig
 from sdsr.wire import decode
+
+from _fixtures import build_fixture_library, fixture_prompt_config
 
 
 def make_config(**overrides):

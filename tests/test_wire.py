@@ -12,7 +12,6 @@ from sdsr.corpus import (
 )
 from sdsr.engine import QuestionSelection, Selection, SelectionSet
 from sdsr.errors import MalformedFile
-from sdsr.fixtures import FIXTURES_DIR, fixture_judgment
 from sdsr.library import (
     Category,
     CategoryIndexEntry,
@@ -23,6 +22,8 @@ from sdsr.library import (
 )
 from sdsr.remote import RemoteConfig
 from sdsr.wire import decode, encode
+
+from _fixtures import FIXTURES_DIR, fixture_judgment
 
 
 @pytest.mark.parametrize("tp, value, expected", [
