@@ -30,7 +30,7 @@ from .engine import (
     SelectionSet,
     select_tier2,
 )
-from .library import Finding, SEVERITY_WARNING, deserialize_library
+from .library import Finding, SEVERITY_WARNING
 from .wire import decode
 
 # Category-name fragments this short are too generic to count as leaks.
@@ -245,14 +245,7 @@ def run_benchmark(
         transcript = (cond.system_prompt + "\n\n"
                       + task_message(cond.library_artifact.decode("utf-8"), pairs))
         try:
-            library = deserialize_library(cond.library_artifact, cond.body_key)
-            sel = select_tier2(
-                pairs,
-                [library],
-                backend,
-                system_prompt=cond.system_prompt,
-                artifact=cond.library_artifact,
-            )
+            sel = select_tier2(pairs, [cond.library], backend, system_prompt=cond.system_prompt)
             transcript += "\n\n--- response ---\n" + format_selections(sel) + "\n"
             report = score_responses(sel, questions)
             results.append(BenchmarkResult(

@@ -44,7 +44,7 @@ about one substring scan per block.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Protocol, Sequence, runtime_checkable
+from typing import Iterable, Protocol, Sequence
 
 from .errors import (
     AllSelectionsInvalid,
@@ -123,15 +123,8 @@ class SelectionSet:
         return None
 
 
-@runtime_checkable
 class RouterBackend(Protocol):
-    """Capability contract for the routing/selection provider.
-
-    Implementations must either be deterministic for identical inputs
-    or declare themselves nondeterministic via the attribute below.
-    """
-
-    deterministic: bool
+    """Capability contract for the routing/selection provider."""
 
     def route(
         self, query: str, summaries: Sequence[tuple[str, SummaryBlock]]
@@ -143,7 +136,6 @@ class RouterBackend(Protocol):
         questions: Sequence[tuple[int, str]],
         libraries: Sequence[KnowledgeLibrary],
         system_prompt: str | None = None,
-        artifact: bytes | None = None,
     ) -> SelectionSet:
         """Pick up to two (category, skill) selections per question."""
 
@@ -224,8 +216,6 @@ class LexicalBackend:
     others are compiled once and scored as the module docstring says.
     """
 
-    deterministic = True
-
     def route(
         self, query: str, summaries: Sequence[tuple[str, SummaryBlock]]
     ) -> list[tuple[str, float]]:
@@ -247,7 +237,6 @@ class LexicalBackend:
         questions: Sequence[tuple[int, str]],
         libraries: Sequence[KnowledgeLibrary],
         system_prompt: str | None = None,
-        artifact: bytes | None = None,
     ) -> SelectionSet:
         queries = [tokenize(text) for _, text in questions]
         probes = sorted(frozenset().union(*queries), key=len)
@@ -340,7 +329,6 @@ def select_tier2(
     loaded: Sequence[KnowledgeLibrary],
     backend: RouterBackend,
     system_prompt: str | None = None,
-    artifact: bytes | None = None,
 ) -> SelectionSet:
     """Tier-2 full-content selection with a hallucination guard.
 
@@ -352,7 +340,7 @@ def select_tier2(
     if not loaded:
         raise EmptyLoadSet("tier-2 selection requires at least one loaded library")
     pairs = normalize_questions(questions)
-    raw = backend.select(pairs, loaded, system_prompt=system_prompt, artifact=artifact)
+    raw = backend.select(pairs, loaded, system_prompt=system_prompt)
 
     kept = []
     flags = list(raw.flags)

@@ -20,13 +20,12 @@ inputs produce byte-identical artifacts.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from functools import partial
+from functools import cached_property, partial
 from string import Formatter
 
 from .errors import EmptyLibrary
 from .library import (
     CategoryIndexEntry,
-    DEFAULT_BODY_KEY,
     DEFAULT_HINT_MAX,
     KnowledgeLibrary,
     SummaryBlock,
@@ -110,9 +109,16 @@ class PromptConfig:
 @dataclass(frozen=True)
 class GuidanceCondition:
     condition: str
-    library_artifact: bytes
+    library: KnowledgeLibrary
     system_prompt: str
-    body_key: str = DEFAULT_BODY_KEY  # the artifact's, which may start with "_"
+
+    @cached_property
+    def library_artifact(self) -> bytes:
+        """The library as the file a reader is handed; serialized on first use.
+
+        Not a field, so == compares the libraries, not their bytes.
+        """
+        return serialize_library(self.library).encode("utf-8")
 
 
 # perfbench/inputs.py imports this name.
@@ -154,7 +160,7 @@ def expand_extended_prompt(prompts: PromptConfig) -> str:
     lines = "\n".join(
         f"  {e.target} (commonly confused with {e.confused_with}; {e.confusion_type})"
         for e in prompts.high_priority
-    )
+    ) or "  (none)"
     return prompts.extended_template.format(
         priority_rule=prompts.priority_rule, high_priority=lines)
 
@@ -165,7 +171,7 @@ def build_condition(
     prompts: PromptConfig | None = None,
     hint_max: int = DEFAULT_HINT_MAX,
 ) -> GuidanceCondition:
-    """Materialize one condition as an artifact/prompt pair.
+    """Materialize one condition as a library variant and its system prompt.
 
     A and C serve the stripped library; B and D serve it with the
     summary rebuilt at *hint_max*.  A and B use the minimal prompt;
@@ -175,16 +181,16 @@ def build_condition(
     condition = condition.strip().upper()
     if condition not in CONDITIONS:
         raise ValueError(f"unknown condition {condition!r}; expected one of {CONDITIONS}")
+    if hint_max < 0:
+        raise ValueError("hint_max must be >= 0")
     if prompts is None:
         prompts = PromptConfig()
     if condition in ("B", "D"):
         variant = build_summary(lib, hint_max=hint_max)
     else:
         variant = strip_summary(lib)
-    artifact = serialize_library(variant).encode("utf-8")
     if condition in ("C", "D"):
         prompt = expand_extended_prompt(prompts)
     else:
         prompt = prompts.minimal_template
-    return GuidanceCondition(condition=condition, library_artifact=artifact,
-                             system_prompt=prompt, body_key=variant.body_key)
+    return GuidanceCondition(condition=condition, library=variant, system_prompt=prompt)

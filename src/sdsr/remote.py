@@ -63,11 +63,9 @@ def _requests_transport(url: str, payload: dict, headers: dict, timeout: float):
 class RemoteBackend:
     """RouterBackend implementation over a chat-completion HTTP API.
 
-    Declares itself nondeterministic: the server may sample.  Each
-    route/select call is one fresh conversation.
+    The server may sample, so identical calls may answer differently.
+    Each route/select call is one fresh conversation.
     """
-
-    deterministic = False
 
     def __init__(self, config: RemoteConfig, transport: Transport | None = None) -> None:
         self.config = config
@@ -156,13 +154,9 @@ class RemoteBackend:
         questions: Sequence[tuple[int, str]],
         libraries: Sequence[KnowledgeLibrary],
         system_prompt: str | None = None,
-        artifact: bytes | None = None,
     ) -> SelectionSet:
         """One fresh conversation: prompt + library + numbered questions."""
-        if artifact is not None:
-            library_text = artifact.decode("utf-8")
-        else:
-            library_text = "\n".join(serialize_library(lib) for lib in libraries)
+        library_text = "\n".join(serialize_library(lib) for lib in libraries)
         messages = []
         if system_prompt:
             messages.append({"role": "system", "content": system_prompt})

@@ -211,8 +211,6 @@ class TestQuestionLint:
 class FailOnCondition:
     """Backend that fails whenever the system prompt matches a marker."""
 
-    deterministic = True
-
     def __init__(self, marker, inner):
         self.marker = marker
         self.inner = inner
@@ -220,11 +218,10 @@ class FailOnCondition:
     def route(self, query, summaries):
         return self.inner.route(query, summaries)
 
-    def select(self, questions, libraries, system_prompt=None, artifact=None):
+    def select(self, questions, libraries, system_prompt=None):
         if self.marker in (system_prompt or ""):
             raise TransportError("simulated timeout")
-        return self.inner.select(questions, libraries,
-                                 system_prompt=system_prompt, artifact=artifact)
+        return self.inner.select(questions, libraries, system_prompt=system_prompt)
 
 
 class TestRunBenchmark:

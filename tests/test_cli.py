@@ -73,14 +73,18 @@ def error_lines(capsys):
 
 
 @pytest.mark.parametrize("command", [
-    ["validate"],
-    ["summarize", "--out", "{tmp}/out.json"],
-    ["condition", "--version", "B", "--out-dir", "{tmp}/out"],
-    ["expand", "--specs", "{fixtures}/round2_specs.json", "--out", "{tmp}/out.json"],
-], ids=lambda command: command[0])
+    ["validate", "--in", "{fixtures}/library_r1.json"],
+    ["summarize", "--in", "{fixtures}/library_r1.json", "--out", "{tmp}/out.json"],
+    ["condition", "--version", "A", "--in", "{fixtures}/library_r1.json", "--out-dir", "{tmp}/out"],
+    ["condition", "--version", "B", "--in", "{fixtures}/library_r1.json", "--out-dir", "{tmp}/out"],
+    ["expand", "--in", "{fixtures}/library_r1.json", "--specs", "{fixtures}/round2_specs.json",
+     "--out", "{tmp}/out.json"],
+    ["bench", "--conditions", "A,C", "--lib", "{fixtures}/library_r1.json",
+     "--questions", "{fixtures}/questions_20.json", "--out-dir", "{tmp}/out"],
+], ids=["validate", "summarize", "condition-A", "condition", "expand", "bench-A,C"])
 def test_negative_hint_max_is_a_usage_error(fixture_dir, tmp_path, capsys, command):
     argv = [arg.format(tmp=tmp_path, fixtures=fixture_dir) for arg in command]
-    outcome = run(argv + ["--in", str(fixture_dir / "library_r1.json"), "--hint-max", "-1"])
+    outcome = run(argv + ["--hint-max", "-1"])
     assert outcome.exit_code == 2
     assert error_lines(capsys) == ["ERROR hint_max must be >= 0"]
     assert list(tmp_path.iterdir()) == []
@@ -455,12 +459,10 @@ class TestRouteSelectBench:
         from sdsr.errors import TransportError
 
         class DoomedBackend:
-            deterministic = False
-
             def route(self, query, summaries):
                 raise TransportError("down")
 
-            def select(self, questions, libraries, system_prompt=None, artifact=None):
+            def select(self, questions, libraries, system_prompt=None):
                 raise TransportError("down")
 
         monkeypatch.setattr(cli_module, "_make_backend", lambda name, cfg: DoomedBackend())

@@ -204,12 +204,10 @@ class TestSelectTier2:
 
     def test_hallucinated_skill_is_stripped_and_flagged(self, bare_library):
         class FabricatingBackend:
-            deterministic = True
-
             def route(self, query, summaries):
                 return []
 
-            def select(self, questions, libraries, system_prompt=None, artifact=None):
+            def select(self, questions, libraries, system_prompt=None):
                 return SelectionSet(selections=(
                     QuestionSelection(
                         question_id=1,
@@ -229,12 +227,10 @@ class TestSelectTier2:
 
     def test_all_invalid_raises(self, bare_library):
         class WrongBackend:
-            deterministic = True
-
             def route(self, query, summaries):
                 return []
 
-            def select(self, questions, libraries, system_prompt=None, artifact=None):
+            def select(self, questions, libraries, system_prompt=None):
                 return SelectionSet(selections=(
                     QuestionSelection(
                         question_id=1,

@@ -12,7 +12,14 @@ from sdsr.guidance import (
     expand_extended_prompt,
     strip_summary,
 )
-from sdsr.library import Category, KnowledgeLibrary, Skill, SummaryBlock, validate_library
+from sdsr.library import (
+    Category,
+    KnowledgeLibrary,
+    Skill,
+    SummaryBlock,
+    deserialize_library,
+    validate_library,
+)
 
 from _fixtures import fixture_prompt_config
 
@@ -123,10 +130,11 @@ class TestConditions:
         assert first.system_prompt == second.system_prompt
 
     def test_artifact_parses_back(self, fixture_library):
-        from sdsr.library import deserialize_library
-        built = build_condition(fixture_library, "B", fixture_prompt_config())
-        lib = deserialize_library(built.library_artifact)
-        assert [c.name for c in lib.categories] == list(fixture_library.category_names)
+        for condition in "ABCD":
+            built = build_condition(fixture_library, condition, fixture_prompt_config())
+            lib = deserialize_library(built.library_artifact)
+            assert lib == built.library
+            assert [c.name for c in lib.categories] == list(fixture_library.category_names)
 
     def test_unknown_condition(self, bare_library):
         with pytest.raises(ValueError):
@@ -150,6 +158,10 @@ class TestPromptConfig:
     def test_extended_template_takes_only_its_two_plain_fields(self, template):
         with pytest.raises(ValueError, match="extended_template"):
             PromptConfig(extended_template=template)
+
+    def test_no_rules_fill_the_header_with_none(self):
+        prompt = expand_extended_prompt(PromptConfig())
+        assert "- Key high-priority categories:\n  (none)\n- When a _summary" in prompt
 
     def test_extended_template_may_quote_braces(self):
         config = PromptConfig(extended_template="{{x}} {priority_rule} {high_priority}")

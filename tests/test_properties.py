@@ -28,7 +28,7 @@ from sdsr.engine import (
     lexical_score,
     select_tier2,
 )
-from sdsr.guidance import build_summary, strip_summary
+from sdsr.guidance import CONDITIONS, build_condition, build_summary, strip_summary
 from sdsr.library import (
     Category,
     CategoryIndexEntry,
@@ -64,14 +64,26 @@ def test_serialization_round_trip(seed):
 
 
 @settings(max_examples=CASES, deadline=None)
-@given(seed=seeds, body_key=st.sampled_from(["High_Impact_Skills_Library", "Body", "K_x"]))
+@given(seed=seeds,
+       body_key=st.sampled_from(["High_Impact_Skills_Library", "Body", "K_x", "_skills"]))
 def test_round_trip_with_custom_body_key(seed, body_key):
     lib = replace(random_library(random.Random(seed)), body_key=body_key)
     text = serialize_library(lib)
-    for read in (deserialize_library(text), deserialize_library(text, body_key=body_key)):
+    # Without a body key the reader takes the first key not starting with "_".
+    reads = [deserialize_library(text, body_key=body_key)]
+    if not body_key.startswith("_"):
+        reads.append(deserialize_library(text))
+    for read in reads:
         assert read == lib
         assert read.body_key == body_key
         assert serialize_library(read) == text
+    # A condition's artifact is what a remote model reads, and its library is
+    # what the lexical backend scores: the two must be one library.
+    for condition in CONDITIONS:
+        cond = build_condition(lib, condition)
+        read = deserialize_library(cond.library_artifact, lib.body_key)
+        assert read == cond.library
+        assert serialize_library(read).encode("utf-8") == cond.library_artifact
 
 
 @settings(max_examples=CASES, deadline=None)

@@ -1,8 +1,9 @@
 import json
+from dataclasses import replace
 
 import pytest
 
-from sdsr.bench import run_benchmark
+from sdsr.bench import run_benchmark, task_message
 from sdsr.errors import TransportError
 from sdsr.guidance import build_condition, build_summary
 from sdsr.library import Category, KnowledgeLibrary, Skill
@@ -177,27 +178,24 @@ class TestSelect:
         assert messages[0] == {"role": "system", "content": "SYSTEM MARKER"}
         assert "Q01." in messages[1]["content"]
 
-    def test_artifact_bytes_sent_verbatim(self):
-        lib = build_fixture_library(with_summary=False)
-        artifact = b'{"Body": {"Marker_Cat": {"category_description": "x", "skills": []}}}'
-        transport = RecordingTransport([(200, chat_body("Q01: A | b"))])
-        backend = RemoteBackend(make_config(), transport=transport)
-        backend.select([(1, "q")], [lib], artifact=artifact)
-        assert "Marker_Cat" in transport.calls[0]["payload"]["messages"][0]["content"]
-
-    def test_benchmark_transcript_is_the_conversation_sent(self, questions):
-        condition = build_condition(build_fixture_library(), "D", fixture_prompt_config())
+    @pytest.mark.parametrize("body_key", ["High_Impact_Skills_Library", "_skills"])
+    @pytest.mark.parametrize("version", ["A", "D"])
+    def test_benchmark_transcript_is_the_conversation_sent(self, questions, version, body_key):
+        lib = replace(build_fixture_library(), body_key=body_key)
+        condition = build_condition(lib, version, fixture_prompt_config())
         reply = "Q01: Visual_Architecture | Moodboard_Digest"
         transport = RecordingTransport([(200, chat_body(reply))])
         [result] = run_benchmark(
             [condition], questions, RemoteBackend(make_config(), transport=transport))
         system, user = transport.calls[0]["payload"]["messages"]
         assert system == {"role": "system", "content": condition.system_prompt}
+        # The remote serializes the library itself: what it sends is the artifact.
+        assert user["content"] == task_message(
+            condition.library_artifact.decode("utf-8"), [(q.id, q.text) for q in questions])
+        assert f'"{body_key}"' in user["content"]
+        assert result.report is not None
         assert result.transcript == (system["content"] + "\n\n" + user["content"]
                                      + "\n\n--- response ---\n" + reply + "\n")
-
-    def test_declares_nondeterminism(self):
-        assert RemoteBackend(make_config()).deterministic is False
 
 
 def test_config_from_dict_round_trip():
