@@ -228,6 +228,8 @@ def _cmd_select(args) -> CommandOutcome:
     config = _load_config(args.config)
     backend = _make_backend(args.backend, config)
     paths = args.libs.split(",")
+    if "" in paths:
+        raise ValueError(f"--libs holds an empty file name: {args.libs!r}")
     libraries = [_load_library(p, args.body_key) for p in paths]
     selection = engine.select_tier2(args.query, libraries, backend)
     if args.complement_pass and len(libraries) > 1:

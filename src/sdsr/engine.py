@@ -18,11 +18,11 @@ which is 1.0 when the query tokens equal the name tokens of a
 name-only entry and 0.0 on zero overlap.  Ties break lexicographically
 everywhere.
 
-Each entry is compiled once into (N, T', base) with T' = H - N and
-base = 2*|N| + |T'|.  Since |union(Q, N)| = |N| + |Q| - |Q & N| and
-|T' - Q| = |T'| - |Q & T'|, the denominator is
+Each entry is compiled once, by ``library.token_entry``, into (N, T')
+with T' = H - N, plus its trimmed name.  Since |union(Q, N)| = |N| +
+|Q| - |Q & N| and |T' - Q| = |T'| - |Q & T'|, the denominator is
 
-    base + 2*(|Q| - |Q & N|) - |Q & T'|
+    2*(|N| + |Q| - |Q & N|) + |T'| - |Q & T'|
 
 so scoring a compiled entry takes two set intersections, and yields
 the same integer numerator and denominator, hence the same float.
@@ -31,14 +31,20 @@ Per-call cost of the lexical backend: the texts of a file's index
 (tier 1), or of a category and its skills (tier 2), are first joined
 with newlines, lowered once and searched for each query token as a
 substring, shortest token first.  On a miss every score in the block
-is 0.0, and the block is skipped without being tokenized.  Every other
-text is tokenized once per call, a skill is scored only for the
-questions that share one of its tokens, and each question keeps one
-best pair per category, from which two linear ``min`` passes pick the
-top two.  Nothing is cached across calls.  On English text, where stop
-words make nearly every block hit, the gate saves nothing and costs a
-join, one ``lower()`` and, as the shortest tokens are tried first,
-about one substring scan per block.
+is 0.0, and the block is skipped without being tokenized.  Each query
+is tokenized once per call.  Tier 1 compiles every other file's index
+entries once per call, since its summaries are decoded afresh for
+each call.  Tier 2 reads every other category's compiled entries from
+``Category.token_view``, which tokenizes the category's texts on first
+use and keeps them on the category object, so every later call, and
+every guidance condition sharing that object, tokenizes only the
+questions.  For each question the category score is computed once,
+and a skill is scored only when it shares a token with the question;
+each question keeps one best pair per category, from which two linear
+``min`` passes pick the top two.  On English text, where stop words
+make nearly every block hit, the gate saves nothing and costs a join,
+one ``lower()`` and, as the shortest tokens are tried first, about one
+substring scan per block.
 """
 
 from __future__ import annotations
@@ -58,6 +64,8 @@ from .library import (
     CategoryIndexEntry,
     KnowledgeLibrary,
     SummaryBlock,
+    TokenEntry,
+    token_entry,
     tokenize,
 )
 from .prefix import estimate_tokens, summary_token_estimate
@@ -140,25 +148,13 @@ class RouterBackend(Protocol):
         """Pick up to two (category, skill) selections per question."""
 
 
-_Compiled = tuple[frozenset[str], frozenset[str], int]
-
-
-def _compile(name_tokens: frozenset[str], text_tokens: frozenset[str]) -> _Compiled:
-    """(N, T', base): name tokens, text-only tokens, 2*|N| + |T'|."""
-    text_only = text_tokens - name_tokens
-    return name_tokens, text_only, 2 * len(name_tokens) + len(text_only)
-
-
-def _compile_text(name: str, text: str) -> _Compiled:
-    return _compile(tokenize(name), tokenize(text))
-
-
-def _overlap(query_tokens: frozenset[str], entry: _Compiled) -> float:
+def _overlap(query_tokens: frozenset[str], entry: TokenEntry) -> float:
     """The scoring rule of the module docstring, on a compiled entry."""
-    name_tokens, text_only, base = entry
+    name_tokens, text_only, _ = entry
     shared_name = len(query_tokens & name_tokens)
     shared_text = len(query_tokens & text_only)
-    denominator = base + 2 * (len(query_tokens) - shared_name) - shared_text
+    denominator = (2 * (len(name_tokens) + len(query_tokens) - shared_name)
+                   + len(text_only) - shared_text)
     if denominator == 0:
         return 0.0
     return (2 * shared_name + shared_text) / denominator
@@ -184,7 +180,7 @@ def weighted_overlap(
     name_tokens: frozenset[str],
     text_tokens: frozenset[str],
 ) -> float:
-    return _overlap(query_tokens, _compile(name_tokens, text_tokens))
+    return _overlap(query_tokens, (name_tokens, text_tokens - name_tokens, ""))
 
 
 def lexical_score(query: str, entry: CategoryIndexEntry | Category) -> float:
@@ -198,7 +194,7 @@ def lexical_score(query: str, entry: CategoryIndexEntry | Category) -> float:
         text = entry.routing_hint
     else:
         text = entry.description
-    return _overlap(tokenize(query), _compile_text(entry.name, text))
+    return _overlap(tokenize(query), token_entry(entry.name, text))
 
 
 class LexicalBackend:
@@ -212,8 +208,10 @@ class LexicalBackend:
 
     Both walk their input once per call and tokenize each query once.
     A file, or a category with its skills, whose text holds no query
-    token even as a substring scores 0.0 without being tokenized; the
-    others are compiled once and scored as the module docstring says.
+    token even as a substring scores 0.0 without being tokenized.  route
+    compiles every other file's entries once per call; select reads
+    every other category's ``Category.token_view``, built on its first
+    use and shared by every later call on the same object.
     """
 
     def route(
@@ -227,7 +225,7 @@ class LexicalBackend:
             score = 0.0
             if _shares_token(probes, (
                     text for entry in entries for text in (entry.name, entry.routing_hint))):
-                score = max(_overlap(query_tokens, _compile_text(entry.name, entry.routing_hint))
+                score = max(_overlap(query_tokens, token_entry(entry.name, entry.routing_hint))
                             for entry in entries)
             scores.append((file_id, score))
         return scores
@@ -256,19 +254,24 @@ class LexicalBackend:
                     for pairs in ranked:
                         pairs.append((-0.0, cat_name, first_skill))
                     continue
-                cat_entry = _compile_text(cat.name, cat.description)
-                cat_scores = [_overlap(q, cat_entry) for q in queries]
-                best = [(-score, cat_name, first_skill) for score in cat_scores]
-                for skill in cat.skills:
-                    skill_entry = _compile_text(skill.name, skill.description)
-                    skill_tokens = skill_entry[0] | skill_entry[1]
-                    skill_name = skill.name.strip()
-                    for i, query_tokens in enumerate(queries):
-                        if not query_tokens.isdisjoint(skill_tokens):
-                            score = cat_scores[i] + _overlap(query_tokens, skill_entry)
-                            best[i] = min(best[i], (-score, cat_name, skill_name))
-                for pairs, pair in zip(ranked, best):
-                    pairs.append(pair)
+                cat_entry, skills = cat.token_view
+                for query_tokens, pairs in zip(queries, ranked):
+                    cat_score = _overlap(query_tokens, cat_entry)
+                    query_weight = 2 * len(query_tokens)
+                    best = (-cat_score, first_skill)
+                    disjoint = query_tokens.isdisjoint
+                    for name_tokens, text_only, skill_name in skills:
+                        if disjoint(name_tokens) and disjoint(text_only):
+                            continue
+                        # _overlap inlined; a shared token keeps the denominator above zero.
+                        shared_name = len(query_tokens & name_tokens)
+                        shared_text = len(query_tokens & text_only)
+                        pair = (-(cat_score + (2 * shared_name + shared_text) / (
+                            2 * (len(name_tokens) - shared_name) + query_weight
+                            + len(text_only) - shared_text)), skill_name)
+                        if pair < best:
+                            best = pair
+                    pairs.append((best[0], cat_name, best[1]))
         selections = []
         for (question_id, _), pairs in zip(questions, ranked):
             if not pairs:

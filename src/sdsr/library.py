@@ -103,6 +103,29 @@ class Category:
     def skill_count(self) -> int:
         return len(self.skills)
 
+    @cached_property
+    def token_view(self) -> tuple[TokenEntry, tuple[TokenEntry, ...]]:
+        """The ``token_entry`` of the category and of each skill, in order, as tier 2 scores them.
+
+        Built on first use and kept for the life of this object, so every
+        call and every condition sharing the object tokenizes its texts
+        once.  Not a field, so ==, hash and the wire format ignore it.
+        """
+        return token_entry(self.name, self.description), tuple(
+            token_entry(skill.name, skill.description) for skill in self.skills)
+
+
+TokenEntry = tuple[frozenset[str], frozenset[str], str]
+
+
+def token_entry(name: str, text: str) -> TokenEntry:
+    """An entry as lexical scoring reads it: name tokens, text-only tokens, trimmed name.
+
+    The text-only tokens are the tokens of *text* not in the name.
+    """
+    name_tokens = tokenize(name)
+    return name_tokens, tokenize(text) - name_tokens, name.strip()
+
 
 @dataclass(frozen=True)
 class CategoryIndexEntry:

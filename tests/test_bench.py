@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from sdsr import library
 from sdsr.bench import (
     Question,
     format_selections,
@@ -15,9 +16,10 @@ from sdsr.bench import (
 from sdsr.engine import QuestionSelection, Selection, SelectionSet
 from sdsr.errors import EmptyKey, MalformedFile, TransportError, UnknownQuestion
 from sdsr.guidance import build_condition
+from sdsr.library import tokenize
 from sdsr.wire import decode, encode
 
-from _fixtures import fixture_prompt_config, round1_selection_fixture
+from _fixtures import build_fixture_library, fixture_prompt_config, round1_selection_fixture
 
 
 class TestParseResponse:
@@ -251,6 +253,25 @@ class TestRunBenchmark:
         assert by_condition["C"].report is None
         assert "simulated timeout" in by_condition["C"].error
         assert by_condition["D"].report is None
+
+    def test_sweep_tokenizes_each_category_and_skill_text_once(self, questions, lexical_backend,
+                                                              monkeypatch):
+        seen = []
+
+        def counting_tokenize(text):
+            seen.append(text)
+            return tokenize(text)
+
+        monkeypatch.setattr(library, "tokenize", counting_tokenize)
+        lib = build_fixture_library(with_summary=False)  # no category has its tokens yet
+        results = run_benchmark(self._conditions(lib), questions, lexical_backend)
+        assert [r.condition for r in results if r.report is not None] == ["A", "B", "C", "D"]
+        # The four variants share one categories tuple, and every category
+        # shares a token with some fixture question.
+        assert seen == [
+            text for cat in lib.categories
+            for text in (cat.name, cat.description, *(
+                part for skill in cat.skills for part in (skill.name, skill.description)))]
 
     def test_empty_condition_list_raises(self, questions, lexical_backend):
         with pytest.raises(ValueError):

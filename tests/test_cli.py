@@ -90,6 +90,14 @@ def test_negative_hint_max_is_a_usage_error(fixture_dir, tmp_path, capsys, comma
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("libs", ["{lib},", ",{lib}", "{lib},,{lib}", ""])
+def test_empty_libs_element_is_a_usage_error(fixture_dir, capsys, libs):
+    libs = libs.format(lib=fixture_dir / "library_r1.json")
+    outcome = run(["select", "--query", "x", "--libs", libs])
+    assert outcome.exit_code == 2
+    assert error_lines(capsys) == [f"ERROR --libs holds an empty file name: {libs!r}"]
+
+
 class TestReadWriteFailures:
     def test_condition_out_dir_naming_a_file_is_io_failure(self, fixture_dir, tmp_path, capsys):
         taken = tmp_path / "taken"

@@ -2,7 +2,7 @@ import re
 
 import pytest
 
-from sdsr import engine
+from sdsr import engine, library
 from sdsr.distractors import expand_round
 from sdsr.engine import (
     LexicalBackend,
@@ -327,7 +327,9 @@ class TestOnlyOverlappingTextIsTokenized:
             seen.append(text)
             return tokenize(text)
 
+        # Queries are tokenized in engine, the texts of index entries and categories in library.
         monkeypatch.setattr(engine, "tokenize", counting_tokenize)
+        monkeypatch.setattr(library, "tokenize", counting_tokenize)
         return seen
 
     def test_route_tokenizes_the_query_and_the_one_overlapping_file(self, tokenized):
@@ -342,8 +344,9 @@ class TestOnlyOverlappingTextIsTokenized:
         assert [fid for fid, score in scores.items() if score == 0.0] == [
             "f0", "f2", "f3", "f4", "f5"]
 
-    def test_select_compiles_only_the_overlapping_category(self, tokenized):
-        lib = KnowledgeLibrary(categories=(
+    @staticmethod
+    def three_areas():
+        return KnowledgeLibrary(categories=(
             Category(name="Harbor_Area", description="ships and docks",
                      skills=(Skill(name="Knot_Tier", description="ties knots"),
                              Skill(name="Dock_Master", description="assigns berths"))),
@@ -353,10 +356,22 @@ class TestOnlyOverlappingTextIsTokenized:
             Category(name="Quartz_Area", description="crystal growth",
                      skills=(Skill(name="Gem_Cutter", description="cuts gems"),)),
         ))
-        result = LexicalBackend().select([(1, "trim wick"), (2, "lantern oil")], [lib])
+
+    def test_select_compiles_only_the_overlapping_category(self, tokenized):
+        result = LexicalBackend().select([(1, "trim wick"), (2, "lantern oil")],
+                                         [self.three_areas()])
         assert tokenized == ["trim wick", "lantern oil", "Lantern_Area", "light at night",
                              "Wick_Trimmer", "trims wicks", "Oil_Filler", "fills oil"]
         assert result.selections == (
             QuestionSelection(question_id=1, primary=Selection("Lantern_Area", "Wick_Trimmer")),
             QuestionSelection(question_id=2, primary=Selection("Lantern_Area", "Oil_Filler")),
         )
+
+    def test_a_second_select_on_the_same_library_tokenizes_only_the_questions(self, tokenized):
+        lib = self.three_areas()
+        questions = [(1, "trim wick"), (2, "lantern oil"), (3, "wick night")]
+        first = LexicalBackend().select(questions, [lib])
+        tokenized.clear()
+        # A new backend: the tokens are kept on the categories, not on the backend.
+        assert LexicalBackend().select(questions, [lib]) == first
+        assert tokenized == ["trim wick", "lantern oil", "wick night"]

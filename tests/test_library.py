@@ -16,6 +16,7 @@ from sdsr.library import (
     surface_similarity,
     validate_library,
 )
+from sdsr.wire import encode
 
 from _fixtures import round2_config
 
@@ -148,6 +149,23 @@ def test_category_lookup_map_is_not_part_of_equality():
     assert lib == twin
     assert repr(lib) == repr(twin)
     assert serialize_library(lib) == serialize_library(twin)
+
+
+def test_category_token_view_is_not_part_of_equality():
+    cat = Category(name=" Topic_A ", description="topic alpha beta",
+                   skills=(Skill(name="Sk_1", description="gamma sk"),))
+    twin = dataclasses.replace(cat)
+    before = hash(cat), encode(cat), repr(cat)
+    assert cat.token_view == (
+        (frozenset({"topic", "a"}), frozenset({"alpha", "beta"}), "Topic_A"),
+        ((frozenset({"sk", "1"}), frozenset({"gamma"}), "Sk_1"),))
+    assert "token_view" in vars(cat) and "token_view" not in vars(twin)
+    assert cat == twin
+    assert hash(cat) == hash(twin) == before[0]
+    assert encode(cat) == encode(twin) == before[1]
+    assert repr(cat) == before[2]
+    assert serialize_library(KnowledgeLibrary(categories=(cat,))) == serialize_library(
+        KnowledgeLibrary(categories=(twin,)))
 
 
 def test_validate_is_pure(fixture_library):

@@ -264,16 +264,34 @@ _tie_library = st.lists(_tie_category, max_size=5).map(
     lambda cats: KnowledgeLibrary(categories=tuple(cats)))
 
 
+def _assert_select_matches_oracle(libraries, queries, descriptions):
+    """Cold and warm token views, then categories rebuilt with new descriptions.
+
+    One backend makes every call, and the rebuilt categories keep their
+    names, so tokens cached by name or on the backend would score the old
+    descriptions.
+    """
+    questions = [(qid, text) for qid, text in enumerate(queries, start=1)]
+    rebuilt = [
+        replace(lib, categories=tuple(
+            replace(cat, description=descriptions[pos % len(descriptions)])
+            for pos, cat in enumerate(lib.categories)))
+        for lib in libraries
+    ]
+    backend = LexicalBackend()
+    for libs in (libraries, libraries, rebuilt, rebuilt):
+        expected = tuple(
+            sel for sel in (_oracle_select(qid, text, libs) for qid, text in questions)
+            if sel is not None)
+        assert backend.select(questions, libs).selections == expected
+
+
 @settings(max_examples=CASES * 2, deadline=None)
 @given(libraries=st.lists(_tie_library, min_size=1, max_size=3),
-       queries=st.lists(_tie_text, min_size=1, max_size=6))
-def test_tier2_select_matches_brute_force_pair_search(libraries, queries):
-    questions = [(qid, text) for qid, text in enumerate(queries, start=1)]
-    selection = LexicalBackend().select(questions, libraries)
-    expected = tuple(
-        sel for sel in (_oracle_select(qid, text, libraries) for qid, text in questions)
-        if sel is not None)
-    assert selection.selections == expected
+       queries=st.lists(_tie_text, min_size=1, max_size=6),
+       descriptions=st.lists(_tie_text, min_size=1, max_size=4))
+def test_tier2_select_matches_brute_force_pair_search(libraries, queries, descriptions):
+    _assert_select_matches_oracle(libraries, queries, descriptions)
 
 
 # --- tier 1 against a per-file brute-force max -----------------------------
@@ -340,14 +358,12 @@ _sparse_library = st.lists(
 
 @settings(max_examples=CASES * 2, deadline=None)
 @given(libraries=st.lists(_sparse_library, min_size=1, max_size=3),
-       queries=st.lists(_sparse_query, min_size=1, max_size=6))
-def test_tier2_select_matches_brute_force_on_a_sparse_vocabulary(libraries, queries):
-    questions = [(qid, text) for qid, text in enumerate(queries, start=1)]
-    selection = LexicalBackend().select(questions, libraries)
-    expected = tuple(
-        sel for sel in (_oracle_select(qid, text, libraries) for qid, text in questions)
-        if sel is not None)
-    assert selection.selections == expected
+       queries=st.lists(_sparse_query, min_size=1, max_size=6),
+       descriptions=st.lists(
+           st.lists(st.sampled_from(sum(_SPARSE_POOLS, ())), max_size=3).map(" ".join),
+           min_size=1, max_size=4))
+def test_tier2_select_matches_brute_force_on_a_sparse_vocabulary(libraries, queries, descriptions):
+    _assert_select_matches_oracle(libraries, queries, descriptions)
 
 
 # --- validated libraries survive the response grammar -------------------
