@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import csv
 import io
-import json
 import re
 from collections import Counter
 from dataclasses import dataclass, field
@@ -31,7 +30,7 @@ from .engine import (
     select_tier2,
 )
 from .library import Finding, SEVERITY_WARNING
-from .wire import decode
+from .wire import decode, parse
 
 # Category-name fragments this short are too generic to count as leaks.
 _LINT_MIN_TOKEN = 4
@@ -72,6 +71,11 @@ class ScoreReport:
     def secondary_hits(self) -> int:
         return sum(1 for q in self.per_question if q.secondary_hit)
 
+    @property
+    def secondary_keyed(self) -> int:
+        """How many questions key a secondary target: each adds 0.5 to ``max_total``."""
+        return round((self.max_total - len(self.per_question)) * 2)
+
 
 @dataclass(frozen=True)
 class BenchmarkResult:
@@ -110,7 +114,7 @@ def decode_questions(obj: object) -> list[Question]:
 
 
 def questions_from_json(text: str | bytes) -> list[Question]:
-    return decode_questions(json.loads(text))
+    return decode_questions(parse(text, ""))
 
 
 def parse_response(
@@ -299,9 +303,8 @@ def report_table(results: Sequence[BenchmarkResult]) -> str:
             lines.append(f"{res.condition:<10} failed: {res.error or ''}")
             continue
         rep = res.report
-        n = len(rep.per_question)
-        n_sec = round((rep.max_total - n) * 2)
         lines.append(
-            f"{res.condition:<10} {rep.primary_hits:>5}/{n:<2} "
-            f"{rep.secondary_hits:>6}/{n_sec:<3} {rep.total:>6.1f}/{rep.max_total:<5.1f}")
+            f"{res.condition:<10} {rep.primary_hits:>5}/{len(rep.per_question):<2} "
+            f"{rep.secondary_hits:>6}/{rep.secondary_keyed:<3} "
+            f"{rep.total:>6.1f}/{rep.max_total:<5.1f}")
     return "\n".join(lines)

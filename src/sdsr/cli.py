@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import re
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -26,7 +25,7 @@ from .library import (
     serialize_library,
     validate_library,
 )
-from .wire import decode, encode
+from .wire import decode, encode, parse
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1
@@ -49,29 +48,8 @@ def _read_text(path: str) -> str:
         raise MalformedFile(f"{path}: not UTF-8: {exc}") from None
 
 
-# An escape that json.loads may turn into a lone surrogate, which no writer can encode.
-_SURROGATE_ESCAPE = re.compile(r"\\u[dD][89a-fA-F][0-9a-fA-F]{2}")
-
-
-def _parse_json(path: str, text: str) -> object:
-    try:
-        data = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise MalformedFile(f"{path}: invalid JSON: {exc}") from None
-    except RecursionError:
-        raise MalformedFile(f"{path}: nested too deeply to decode") from None
-    if _SURROGATE_ESCAPE.search(text):
-        # A pair of escapes decodes to one character; a lone one stays a surrogate.
-        try:
-            json.dumps(data, ensure_ascii=False).encode("utf-8")
-        except UnicodeEncodeError as exc:
-            raise MalformedFile(
-                f"{path}: a string holds the lone surrogate {exc.object[exc.start]!r}") from None
-    return data
-
-
 def _load_json(path: str) -> object:
-    return _parse_json(path, _read_text(path))
+    return parse(_read_text(path), path)
 
 
 def _write_text(path: str | Path, text: str) -> None:
@@ -244,6 +222,9 @@ def _cmd_select(args) -> CommandOutcome:
 
 
 def _cmd_bench(args) -> CommandOutcome:
+    names = [name.strip() for name in args.conditions.split(",")]
+    if "" in names:
+        raise ValueError(f"--conditions holds an empty condition name: {args.conditions!r}")
     config = _load_config(args.config)
     backend = _make_backend(args.backend, config)
     lib = _load_library(args.lib, args.body_key)
@@ -251,26 +232,16 @@ def _cmd_bench(args) -> CommandOutcome:
     _print_findings_stderr(bench.lint_questions(questions))
     prompts = _load_prompts(args.prompts)
     conditions = [
-        guidance.build_condition(lib, name.strip(), prompts, hint_max=args.hint_max)
-        for name in args.conditions.split(",") if name.strip()
-    ]
-    if not conditions:
-        raise SdsrError("no conditions requested")
+        guidance.build_condition(lib, name, prompts, hint_max=args.hint_max) for name in names]
     results = bench.run_benchmark(
         conditions, questions, backend, out_dir=args.out_dir)
-    payload = []
-    for res in results:
-        entry: dict = {"condition": res.condition}
-        if res.report is None:
-            entry["error"] = res.error
-        else:
-            entry.update({
-                "primary_accuracy": res.report.primary_accuracy,
-                "secondary_hit_rate": res.report.secondary_hit_rate,
-                "total": res.report.total,
-                "max_total": res.report.max_total,
-            })
-        payload.append(entry)
+    payload = [{"condition": res.condition, "error": res.error} if res.report is None else {
+        "condition": res.condition,
+        "primary_accuracy": res.report.primary_accuracy,
+        "secondary_hit_rate": res.report.secondary_hit_rate,
+        "total": res.report.total,
+        "max_total": res.report.max_total,
+    } for res in results]
     table = bench.report_table(results)
     code = EXIT_TRANSPORT if any(r.report is None for r in results) else EXIT_OK
     return CommandOutcome(code, _emit(args, payload, table))
@@ -280,7 +251,7 @@ def _cmd_score(args) -> CommandOutcome:
     key = bench.decode_questions(_load_json(args.key))
     raw = _read_text(args.selections)
     if raw.lstrip().startswith(("{", "[")):
-        data = _parse_json(args.selections, raw)
+        data = parse(raw, args.selections)
         if type(data) is list:  # the selections alone, without flags
             data = {"selections": data}
         selection = decode(engine.SelectionSet, data)
@@ -289,11 +260,10 @@ def _cmd_score(args) -> CommandOutcome:
         _print_findings_stderr(findings)
     report = bench.score_responses(selection, key)
     payload = encode(report)
-    n_sec = round((report.max_total - len(report.per_question)) * 2)
     table = (
         f"total {report.total}/{report.max_total}  "
         f"primary {report.primary_hits}/{len(report.per_question)}  "
-        f"secondary {report.secondary_hits}/{n_sec}"
+        f"secondary {report.secondary_hits}/{report.secondary_keyed}"
     )
     return CommandOutcome(EXIT_OK, _emit(args, payload, table))
 

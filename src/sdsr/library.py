@@ -23,7 +23,7 @@ from functools import cached_property
 from json.encoder import encode_basestring
 
 from .errors import MalformedFile
-from .wire import decode, encode
+from .wire import decode, encode, parse
 
 SEVERITY_ERROR = "ERROR"
 SEVERITY_WARNING = "WARNING"
@@ -392,14 +392,9 @@ def serialize_library(lib: KnowledgeLibrary) -> str:
     return json.dumps(out, ensure_ascii=False, indent=2) + "\n"
 
 
-def deserialize_library(text: str | bytes, body_key: str | None = None) -> KnowledgeLibrary:
-    if isinstance(text, bytes):
-        text = text.decode("utf-8")
-    try:
-        obj = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise MalformedFile(f"invalid JSON: {exc}") from exc
-    return decode_library(obj, body_key)
+def deserialize_library(text: str | bytes) -> KnowledgeLibrary:
+    """Parse and decode a library file's text, as ``sdsr`` reads a library file."""
+    return decode_library(parse(text, ""))
 
 
 def decode_library(obj: object, body_key: str | None = None) -> KnowledgeLibrary:

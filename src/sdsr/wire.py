@@ -1,6 +1,7 @@
-"""Decode parsed JSON into the package's frozen dataclasses, and encode them back.
+"""Parse JSON text, decode it into the package's frozen dataclasses, and encode them back.
 
-A field is required unless its class gives it a default, and a field
+:func:`parse` is the package's one reader from JSON text to a value.  A
+field is required unless its class gives it a default, and a field
 whose wire key differs from its name says so in
 ``field(metadata={"key": ...})``; reader and writer both take the key
 from there.  Unknown keys are ignored and nothing is coerced: ``"3"`` is
@@ -10,6 +11,8 @@ no integer and ``true`` is no number.
 from __future__ import annotations
 
 import functools
+import json
+import re
 import types
 import typing
 from dataclasses import MISSING, fields, is_dataclass
@@ -19,6 +22,34 @@ from .errors import MalformedFile
 _SCALARS = frozenset({str, int, float, bool, type(None)})
 _KINDS = {dict: "an object", list: "a list", str: "a string", int: "an integer",
           float: "a number", bool: "a boolean", type(None): "null"}
+
+
+# An escape that json.loads may turn into a lone surrogate, which no writer can encode.
+_SURROGATE_ESCAPE = re.compile(r"\\u[dD][89a-fA-F][0-9a-fA-F]{2}")
+
+
+def parse(text: str | bytes, where: str) -> object:
+    """Parse JSON *text*, bytes as strict UTF-8; MalformedFile, prefixed by a non-empty
+    *where*, if it is not UTF-8 or not JSON, nests too deeply or escapes a lone surrogate."""
+    prefix = f"{where}: " if where else ""
+    try:
+        text = text.decode("utf-8") if isinstance(text, bytes) else text
+        data = json.loads(text)
+    except UnicodeDecodeError as exc:
+        raise MalformedFile(f"{prefix}not UTF-8: {exc}") from None
+    except json.JSONDecodeError as exc:
+        raise MalformedFile(f"{prefix}invalid JSON: {exc}") from None
+    except RecursionError:
+        raise MalformedFile(f"{prefix}nested too deeply to decode") from None
+    # A lone-surrogate escape needs a backslash, which most files never hold.
+    if "\\" in text and _SURROGATE_ESCAPE.search(text):
+        # A pair of escapes decodes to one character; a lone one stays a surrogate.
+        try:
+            json.dumps(data, ensure_ascii=False).encode("utf-8")
+        except UnicodeEncodeError as exc:
+            raise MalformedFile(
+                f"{prefix}a string holds the lone surrogate {exc.object[exc.start]!r}") from None
+    return data
 
 
 class _Invalid(Exception):

@@ -98,6 +98,17 @@ def test_empty_libs_element_is_a_usage_error(fixture_dir, capsys, libs):
     assert error_lines(capsys) == [f"ERROR --libs holds an empty file name: {libs!r}"]
 
 
+@pytest.mark.parametrize("conditions", [",", "A,,B", "A, ", ""])
+def test_empty_conditions_element_is_a_usage_error(fixture_dir, capsys, conditions):
+    outcome = run(["bench", "--conditions", conditions,
+                   "--lib", str(fixture_dir / "library_r1.json"),
+                   "--questions", str(fixture_dir / "questions_20.json")])
+    assert outcome.exit_code == 2
+    assert outcome.stdout_payload == ""
+    assert error_lines(capsys) == [
+        f"ERROR --conditions holds an empty condition name: {conditions!r}"]
+
+
 class TestReadWriteFailures:
     def test_condition_out_dir_naming_a_file_is_io_failure(self, fixture_dir, tmp_path, capsys):
         taken = tmp_path / "taken"

@@ -35,6 +35,7 @@ from sdsr.library import (
     KnowledgeLibrary,
     Skill,
     SummaryBlock,
+    decode_library,
     deserialize_library,
     has_errors,
     serialize_library,
@@ -43,6 +44,7 @@ from sdsr.library import (
     validate_library,
 )
 from sdsr.prefix import estimate_tokens
+from sdsr.wire import parse
 
 from _fixtures import FIXTURES_DIR
 from _generators import (
@@ -70,7 +72,7 @@ def test_round_trip_with_custom_body_key(seed, body_key):
     lib = replace(random_library(random.Random(seed)), body_key=body_key)
     text = serialize_library(lib)
     # Without a body key the reader takes the first key not starting with "_".
-    reads = [deserialize_library(text, body_key=body_key)]
+    reads = [decode_library(parse(text, ""), body_key)]
     if not body_key.startswith("_"):
         reads.append(deserialize_library(text))
     for read in reads:
@@ -81,7 +83,7 @@ def test_round_trip_with_custom_body_key(seed, body_key):
     # what the lexical backend scores: the two must be one library.
     for condition in CONDITIONS:
         cond = build_condition(lib, condition)
-        read = deserialize_library(cond.library_artifact, lib.body_key)
+        read = decode_library(parse(cond.library_artifact, ""), lib.body_key)
         assert read == cond.library
         assert serialize_library(read).encode("utf-8") == cond.library_artifact
 

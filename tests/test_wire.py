@@ -1,9 +1,11 @@
 import json
+import re
 
 import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
+from sdsr.bench import questions_from_json
 from sdsr.corpus import (
     CrossReference,
     Section,
@@ -21,7 +23,7 @@ from sdsr.library import (
     serialize_library,
 )
 from sdsr.remote import RemoteConfig
-from sdsr.wire import decode, encode
+from sdsr.wire import decode, encode, parse
 
 from _fixtures import FIXTURES_DIR, fixture_judgment
 
@@ -127,3 +129,49 @@ def test_each_committed_selection_set_re_encodes_byte_for_byte(condition):
     text = (FIXTURES_DIR / f"selections_r1_{condition}.json").read_text(encoding="utf-8")
     again = encode(decode(SelectionSet, json.loads(text)))
     assert json.dumps(again, ensure_ascii=False, indent=2) + "\n" == text
+
+
+# Each JSON reader, as a document template whose one string "@" a text fills,
+# and the call that reads the document back to that string.
+_READERS = {
+    "parse": ('["@"]', lambda text: parse(text, "")[0]),
+    "deserialize_library": ('{"L": {"@": {}}}',
+                            lambda text: deserialize_library(text).categories[0].name),
+    "questions_from_json": ('[{"id": 1, "text": "@", "primary_target": "x"}]',
+                            lambda text: questions_from_json(text)[0].text),
+}
+_MALFORMED = {
+    "invalid-json": (lambda doc: doc[:-1], r"invalid JSON: .+"),
+    "deep": (lambda doc: "[" * 100_000 + "]" * 100_000, r"nested too deeply to decode"),
+    "lone-surrogate": (lambda doc: doc.replace("@", "\\ud800"),
+                       re.escape("a string holds the lone surrogate '\\ud800'")),
+}
+
+
+@pytest.mark.parametrize("reader, as_bytes, kind", [
+    pytest.param(reader, as_bytes, kind, id=f"{reader}-{'bytes' if as_bytes else 'str'}-{kind}")
+    for reader in _READERS for as_bytes in (False, True)
+    for kind in [*_MALFORMED, *(["not-utf-8"] if as_bytes else [])]])
+def test_every_reader_fails_malformed_text_as_the_cli_does(reader, as_bytes, kind):
+    template, read = _READERS[reader]
+    if kind == "not-utf-8":
+        text, expected = b"\xff", r"not UTF-8: .+"
+    else:
+        make, expected = _MALFORMED[kind]
+        text = make(template)
+        text = text.encode("utf-8") if as_bytes else text
+    with pytest.raises(MalformedFile) as caught:
+        read(text)
+    assert re.fullmatch(expected, str(caught.value))
+
+
+@pytest.mark.parametrize("reader", _READERS)
+@pytest.mark.parametrize("escaped, expected", [
+    ("\\ud83c\\udfb5", "\U0001f3b5"),  # a surrogate pair is one character
+    ('\\"', '"'),  # a backslash that escapes no surrogate
+], ids=["surrogate-pair", "quote"])
+@pytest.mark.parametrize("as_bytes", [False, True], ids=["str", "bytes"])
+def test_every_reader_loads_escapes(reader, escaped, expected, as_bytes):
+    template, read = _READERS[reader]
+    text = template.replace("@", escaped)
+    assert read(text.encode("utf-8") if as_bytes else text) == expected
