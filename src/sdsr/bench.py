@@ -17,10 +17,9 @@ import io
 import re
 from collections import Counter
 from dataclasses import dataclass, field
-from pathlib import Path
-from typing import Sequence
+from typing import Iterable, Sequence
 
-from .errors import EmptyKey, IoFailure, MalformedFile, SdsrError, UnknownQuestion
+from .errors import EmptyKey, MalformedFile, SdsrError, UnknownQuestion
 from .guidance import GuidanceCondition
 from .engine import (
     QuestionSelection,
@@ -107,10 +106,20 @@ def lint_questions(questions: Sequence[Question]) -> list[Finding]:
 def decode_questions(obj: object) -> list[Question]:
     """Decode a question set or answer key; MalformedFile on a repeated id, which scores twice."""
     questions = list(decode(tuple[Question, ...], obj))
-    repeated = sorted(qid for qid, count in Counter(q.id for q in questions).items() if count > 1)
-    if repeated:
-        raise MalformedFile(f"duplicate question ids: {repeated}")
+    _reject_repeated_ids(q.id for q in questions)
     return questions
+
+
+def decode_selections(obj: object) -> SelectionSet:
+    """Decode a selection set, or a bare list of its selections; MalformedFile on a repeated id."""
+    selection = decode(SelectionSet, {"selections": obj} if type(obj) is list else obj)
+    _reject_repeated_ids(item.question_id for item in selection.selections)
+    return selection
+
+
+def _reject_repeated_ids(ids: Iterable[int]) -> None:
+    if repeated := sorted(qid for qid, count in Counter(ids).items() if count > 1):
+        raise MalformedFile(f"duplicate question ids: {repeated}")
 
 
 def questions_from_json(text: str | bytes) -> list[Question]:
@@ -193,9 +202,12 @@ def score_responses(sel: SelectionSet, key: Sequence[Question]) -> ScoreReport:
     A primary hit is an exact (trimmed, case-sensitive) match of the
     primary category; secondary credit requires the primary to be
     correct and the keyed secondary to appear in either selection slot.
+    A selection for a question outside the key raises UnknownQuestion.
     """
     if not key:
         raise EmptyKey("scoring requires a non-empty answer key")
+    if unknown := sorted({item.question_id for item in sel.selections} - {q.id for q in key}):
+        raise UnknownQuestion(f"question ids {unknown} are not in the answer key")
     per_question: list[QuestionScore] = []
     for q in key:
         answer = sel.get(q.id)
@@ -230,16 +242,15 @@ def run_benchmark(
     conditions: Sequence[GuidanceCondition],
     questions: Sequence[Question],
     backend: RouterBackend,
-    out_dir: str | Path | None = None,
 ) -> list[BenchmarkResult]:
     """Run every condition as a fresh conversation and score it against *questions*.
 
     Each condition gets one composed message (system prompt, artifact,
-    then the numbered questions); transcripts are persisted to
-    *out_dir* when given.  A backend failure marks that condition as
-    failed without aborting the sweep.  Conditions run sequentially so
-    remote backends see one conversation at a time; with the lexical
-    backend repeated runs are bit-identical.
+    then the numbered questions), kept with its response as the
+    result's transcript; nothing is written to disk.  A backend failure
+    marks that condition as failed without aborting the sweep.
+    Conditions run sequentially so remote backends see one conversation
+    at a time; with the lexical backend repeated runs are bit-identical.
     """
     if not conditions:
         raise ValueError("run_benchmark needs at least one condition")
@@ -258,8 +269,6 @@ def run_benchmark(
             results.append(BenchmarkResult(
                 condition=cond.condition, report=None, transcript=transcript,
                 error=f"{type(exc).__name__}: {exc}"))
-    if out_dir is not None:
-        _persist(results, Path(out_dir))
     return results
 
 
@@ -267,17 +276,6 @@ def task_message(library_text: str, questions: Sequence[tuple[int, str]]) -> str
     """The user turn of a selection conversation: the library, then the numbered tasks."""
     numbered = "\n".join(f"Q{qid:02d}. {text}" for qid, text in questions)
     return f"--- skills.json ---\n{library_text}\n--- tasks ---\n{numbered}"
-
-
-def _persist(results: Sequence[BenchmarkResult], out_dir: Path) -> None:
-    try:
-        out_dir.mkdir(parents=True, exist_ok=True)
-        for res in results:
-            (out_dir / f"transcript_{res.condition}.txt").write_text(
-                res.transcript, encoding="utf-8")
-        (out_dir / "report.csv").write_text(results_to_csv(results), encoding="utf-8")
-    except OSError as exc:
-        raise IoFailure(f"cannot write to {out_dir}: {exc}") from exc
 
 
 def results_to_csv(results: Sequence[BenchmarkResult]) -> str:

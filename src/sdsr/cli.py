@@ -59,6 +59,20 @@ def _write_text(path: str | Path, text: str) -> None:
         raise IoFailure(f"cannot write {path}: {exc}") from exc
 
 
+def _write_into(out_dir: str, files: dict[str, str | bytes]) -> list[Path]:
+    directory = Path(out_dir)
+    try:
+        directory.mkdir(parents=True, exist_ok=True)
+        for name, content in files.items():  # in order: bytes as given, text as UTF-8
+            if isinstance(content, bytes):
+                (directory / name).write_bytes(content)
+            else:
+                (directory / name).write_text(content, encoding="utf-8")
+    except OSError as exc:
+        raise IoFailure(f"cannot write to {directory}: {exc}") from exc
+    return [directory / name for name in files]
+
+
 def _load_library(path: str, body_key: str | None = None):
     return decode_library(_load_json(path), body_key)
 
@@ -132,17 +146,10 @@ def _cmd_condition(args) -> CommandOutcome:
     lib = _load_library(args.infile, args.body_key)
     prompts = _load_prompts(args.prompts)
     cond = guidance.build_condition(lib, args.version, prompts, hint_max=args.hint_max)
-    out_dir = Path(args.out_dir)
-    lib_path = out_dir / f"library_{cond.condition}.json"
-    prompt_path = out_dir / f"prompt_{cond.condition}.txt"
-    try:
-        out_dir.mkdir(parents=True, exist_ok=True)
-        lib_path.write_bytes(cond.library_artifact)
-    except OSError as exc:
-        raise IoFailure(f"cannot write to {out_dir}: {exc}") from exc
-    _write_text(prompt_path, cond.system_prompt + "\n")
-    payload = {"condition": cond.condition, "library": str(lib_path),
-               "prompt": str(prompt_path)}
+    lib_path, prompt_path = _write_into(args.out_dir, {
+        f"library_{cond.condition}.json": cond.library_artifact,
+        f"prompt_{cond.condition}.txt": cond.system_prompt + "\n"})
+    payload = {"condition": cond.condition, "library": str(lib_path), "prompt": str(prompt_path)}
     table = f"condition {cond.condition}: {lib_path} + {prompt_path}"
     return CommandOutcome(EXIT_OK, _emit(args, payload, table))
 
@@ -185,8 +192,7 @@ def _cmd_route(args) -> CommandOutcome:
     config = _load_config(args.config)
     backend = _make_backend(args.backend, config)
     registry = prefix.scan_registry(args.directory, extension=args.extension)
-    summaries, findings = prefix.read_registry_summaries(
-        registry, block_size=args.block_size, strict=not args.lenient)
+    summaries, findings = prefix.read_registry_summaries(registry, strict=not args.lenient)
     _print_findings_stderr(findings)
     request = engine.RoutingRequest(
         query=args.query,
@@ -222,9 +228,11 @@ def _cmd_select(args) -> CommandOutcome:
 
 
 def _cmd_bench(args) -> CommandOutcome:
-    names = [name.strip() for name in args.conditions.split(",")]
+    names = [name.strip().upper() for name in args.conditions.split(",")]  # as build_condition does
     if "" in names:
         raise ValueError(f"--conditions holds an empty condition name: {args.conditions!r}")
+    if repeated := [name for at, name in enumerate(names) if name in names[:at]]:
+        raise ValueError(f"--conditions repeats condition {repeated[0]!r}: {args.conditions!r}")
     config = _load_config(args.config)
     backend = _make_backend(args.backend, config)
     lib = _load_library(args.lib, args.body_key)
@@ -233,8 +241,10 @@ def _cmd_bench(args) -> CommandOutcome:
     prompts = _load_prompts(args.prompts)
     conditions = [
         guidance.build_condition(lib, name, prompts, hint_max=args.hint_max) for name in names]
-    results = bench.run_benchmark(
-        conditions, questions, backend, out_dir=args.out_dir)
+    results = bench.run_benchmark(conditions, questions, backend)
+    if args.out_dir is not None:
+        files = {f"transcript_{res.condition}.txt": res.transcript for res in results}
+        _write_into(args.out_dir, files | {"report.csv": bench.results_to_csv(results)})
     payload = [{"condition": res.condition, "error": res.error} if res.report is None else {
         "condition": res.condition,
         "primary_accuracy": res.report.primary_accuracy,
@@ -251,10 +261,7 @@ def _cmd_score(args) -> CommandOutcome:
     key = bench.decode_questions(_load_json(args.key))
     raw = _read_text(args.selections)
     if raw.lstrip().startswith(("{", "[")):
-        data = parse(raw, args.selections)
-        if type(data) is list:  # the selections alone, without flags
-            data = {"selections": data}
-        selection = decode(engine.SelectionSet, data)
+        selection = bench.decode_selections(parse(raw, args.selections))
     else:
         selection, findings = bench.parse_response(raw, key)
         _print_findings_stderr(findings)
@@ -358,7 +365,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--query", required=True)
     p.add_argument("--dir", dest="directory", required=True)
     p.add_argument("--ext", dest="extension", default=".json")
-    p.add_argument("--block-size", type=int, default=prefix.DEFAULT_BLOCK_SIZE)
     p.add_argument("--k-max", type=int, default=engine.DEFAULT_K_MAX)
     p.add_argument("--threshold", type=float, default=engine.DEFAULT_THRESHOLD)
     p.add_argument("--backend", choices=("lexical", "remote"), default="lexical")
@@ -422,15 +428,11 @@ def dispatch(argv: list[str]) -> CommandOutcome:
         return CommandOutcome(code, "")
     try:
         return args.func(args)
-    except TransportError as exc:
-        print(f"ERROR {type(exc).__name__}: {exc}", file=sys.stderr)
-        return CommandOutcome(EXIT_TRANSPORT, "")
-    except IoFailure as exc:
-        print(f"ERROR {type(exc).__name__}: {exc}", file=sys.stderr)
-        return CommandOutcome(EXIT_USAGE, "")
     except SdsrError as exc:
         print(f"ERROR {type(exc).__name__}: {exc}", file=sys.stderr)
-        return CommandOutcome(EXIT_VALIDATION, "")
+        code = (EXIT_TRANSPORT if isinstance(exc, TransportError)
+                else EXIT_USAGE if isinstance(exc, IoFailure) else EXIT_VALIDATION)
+        return CommandOutcome(code, "")
     except ValueError as exc:
         print(f"ERROR {exc}", file=sys.stderr)
         return CommandOutcome(EXIT_USAGE, "")

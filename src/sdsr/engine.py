@@ -49,7 +49,7 @@ substring scan per block.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Iterable, Protocol, Sequence
 
 from .errors import (
@@ -387,12 +387,16 @@ def resolve_complement(lib: KnowledgeLibrary, primary_category: str) -> str | No
     cat = lib.category(primary_category)
     if cat is None:
         raise UnknownCategory(f"no category named {primary_category.strip()!r}")
-    if cat.complement is None:
+    return None if _complement_of(lib, cat) is None else cat.complement.strip()
+
+
+def _complement_of(lib: KnowledgeLibrary, cat: Category | None) -> Category | None:
+    if cat is None or cat.complement is None:
         return None
-    target = cat.complement.strip()
-    if lib.category(target) is None:
+    target = lib.category(cat.complement)
+    if target is None:
         raise DanglingComplement(
-            f"{cat.name.strip()}: complement {target!r} does not resolve")
+            f"{cat.name.strip()}: complement {cat.complement.strip()!r} does not resolve")
     return target
 
 
@@ -409,14 +413,9 @@ def apply_complement_pass(
     """
     updated = []
     for item in sel.selections:
-        secondary = item.secondary
-        cat = lib.category(item.primary.category)
-        if cat is not None and cat.complement is not None:
-            complement = resolve_complement(lib, item.primary.category)
-            comp_cat = lib.category(complement)
-            if comp_cat is not None and comp_cat.skills:
-                secondary = Selection(
-                    category=complement, skill=comp_cat.skills[0].name.strip())
-        updated.append(QuestionSelection(
-            question_id=item.question_id, primary=item.primary, secondary=secondary))
-    return SelectionSet(selections=tuple(updated), flags=sel.flags)
+        complement = _complement_of(lib, lib.category(item.primary.category))
+        if complement is not None and complement.skills:
+            item = replace(item, secondary=Selection(
+                category=complement.name.strip(), skill=complement.skills[0].name.strip()))
+        updated.append(item)
+    return replace(sel, selections=tuple(updated))

@@ -13,13 +13,15 @@ from sdsr.bench import (
     run_benchmark,
     score_responses,
 )
+from sdsr.cli import dispatch
 from sdsr.engine import QuestionSelection, Selection, SelectionSet
 from sdsr.errors import EmptyKey, MalformedFile, TransportError, UnknownQuestion
 from sdsr.guidance import build_condition
 from sdsr.library import tokenize
 from sdsr.wire import decode, encode
 
-from _fixtures import build_fixture_library, fixture_prompt_config, round1_selection_fixture
+from _fixtures import (
+    FIXTURES_DIR, build_fixture_library, fixture_prompt_config, round1_selection_fixture)
 
 
 class TestParseResponse:
@@ -167,6 +169,12 @@ class TestScoring:
         with pytest.raises(EmptyKey):
             score_responses(SelectionSet(), [])
 
+    def test_selection_outside_the_key_raises(self, questions):
+        extra = QuestionSelection(question_id=99, primary=Selection(category="X", skill="Y"))
+        sel = round1_selection_fixture("B")
+        with pytest.raises(UnknownQuestion, match=r"question ids \[99\] are not in the answer key"):
+            score_responses(SelectionSet(selections=sel.selections + (extra,)), questions)
+
     def test_total_decomposes_into_rates(self, questions):
         report = score_responses(round1_selection_fixture("B"), questions)
         n = len(questions)
@@ -279,8 +287,12 @@ class TestRunBenchmark:
 
     def test_transcripts_and_csv_persisted(self, tmp_path, bare_library, questions,
                                            lexical_backend):
-        conditions = self._conditions(bare_library, "AB")
-        results = run_benchmark(conditions, questions, lexical_backend, out_dir=tmp_path)
+        outcome = dispatch([
+            "bench", "--conditions", "A,B", "--lib", str(FIXTURES_DIR / "library_r1_bare.json"),
+            "--questions", str(FIXTURES_DIR / "questions_20.json"),
+            "--prompts", str(FIXTURES_DIR / "prompts.json"), "--out-dir", str(tmp_path)])
+        assert outcome.exit_code == 0
+        results = run_benchmark(self._conditions(bare_library, "AB"), questions, lexical_backend)
         assert (tmp_path / "transcript_A.txt").exists()
         assert (tmp_path / "transcript_B.txt").exists()
         csv_text = (tmp_path / "report.csv").read_text(encoding="utf-8")

@@ -98,15 +98,25 @@ def test_empty_libs_element_is_a_usage_error(fixture_dir, capsys, libs):
     assert error_lines(capsys) == [f"ERROR --libs holds an empty file name: {libs!r}"]
 
 
-@pytest.mark.parametrize("conditions", [",", "A,,B", "A, ", ""])
-def test_empty_conditions_element_is_a_usage_error(fixture_dir, capsys, conditions):
+_BAD_CONDITIONS = [
+    (",", "holds an empty condition name"),
+    ("A,,B", "holds an empty condition name"),
+    ("A, ", "holds an empty condition name"),
+    ("", "holds an empty condition name"),
+    ("A,A", "repeats condition 'A'"),
+    ("A,a", "repeats condition 'A'"),  # build_condition reads both as A
+]
+
+
+@pytest.mark.parametrize(("conditions", "problem"), _BAD_CONDITIONS,
+                         ids=[conditions for conditions, _ in _BAD_CONDITIONS])
+def test_empty_conditions_element_is_a_usage_error(fixture_dir, capsys, conditions, problem):
     outcome = run(["bench", "--conditions", conditions,
                    "--lib", str(fixture_dir / "library_r1.json"),
                    "--questions", str(fixture_dir / "questions_20.json")])
     assert outcome.exit_code == 2
     assert outcome.stdout_payload == ""
-    assert error_lines(capsys) == [
-        f"ERROR --conditions holds an empty condition name: {conditions!r}"]
+    assert error_lines(capsys) == [f"ERROR --conditions {problem}: {conditions!r}"]
 
 
 class TestReadWriteFailures:
@@ -128,6 +138,15 @@ class TestReadWriteFailures:
         assert outcome.exit_code == 2
         [line] = error_lines(capsys)
         assert line.startswith(f"ERROR IoFailure: cannot write to {taken}: ")
+
+    def test_condition_prompt_that_cannot_be_written_names_the_out_dir(self, fixture_dir,
+                                                                        tmp_path, capsys):
+        (tmp_path / "prompt_A.txt").mkdir()
+        outcome = run(["condition", "--version", "A", "--in", str(fixture_dir / "library_r1.json"),
+                       "--out-dir", str(tmp_path)])
+        assert outcome.exit_code == 2
+        [line] = error_lines(capsys)
+        assert line.startswith(f"ERROR IoFailure: cannot write to {tmp_path}: ")
 
     def test_prompts_file_that_is_not_utf8_is_malformed(self, fixture_dir, tmp_path, capsys):
         prompts = tmp_path / "prompts.json"
@@ -244,6 +263,26 @@ class TestScore:
         outcome = run(["score", "--selections", str(selections), "--key", str(key_path)])
         assert outcome.exit_code == 1
         assert "MalformedFile" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("form", ["object", "list"])
+    @pytest.mark.parametrize(("extra", "error"), [
+        ({"question_id": 99, "primary": {"category": "X", "skill": "Y"}},
+         "UnknownQuestion: question ids [99] are not in the answer key"),
+        ({"question_id": 1, "primary": {"category": "X", "skill": "Y"}},
+         "MalformedFile: duplicate question ids: [1]"),
+    ], ids=["unknown-id", "repeated-id"])
+    def test_json_selections_obey_the_key_ids(self, fixture_dir, tmp_path, capsys, form, extra,
+                                              error):
+        data = json.loads((fixture_dir / "selections_r1_B.json").read_text(encoding="utf-8"))
+        data["selections"].append(extra)
+        selections = tmp_path / "selections.json"
+        selections.write_text(json.dumps(data if form == "object" else data["selections"]),
+                              encoding="utf-8")
+        outcome = run(["score", "--selections", str(selections),
+                       "--key", str(fixture_dir / "questions_20.json")])
+        assert outcome.exit_code == 1
+        assert outcome.stdout_payload == ""
+        assert error_lines(capsys) == [f"ERROR {error}"]
 
 
 class TestSummarizeStripCondition:
@@ -444,6 +483,12 @@ class TestRouteSelectBench:
         outcome = run(["route", "--query", "anything", "--dir", str(reg)])
         assert outcome.exit_code == 0
         assert outcome.stdout_payload.startswith("nocomma.json\t")
+
+    def test_route_has_no_block_size_option(self, tmp_path, capsys):
+        outcome = run(["route", "--query", "anything", "--dir", str(tmp_path),
+                       "--block-size", "4096"])
+        assert outcome.exit_code == 2
+        assert "unrecognized arguments: --block-size 4096" in capsys.readouterr().err
 
     def test_route_stdout_is_reproducible(self, fixture_dir, tmp_path):
         reg = tmp_path / "registry"
