@@ -9,7 +9,6 @@ stdout stays byte-stable for identical inputs on lexical-backend paths.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -25,7 +24,7 @@ from .library import (
     serialize_library,
     validate_library,
 )
-from .wire import decode, encode, parse
+from .wire import decode, dumps, encode, parse
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1
@@ -52,25 +51,16 @@ def _load_json(path: str) -> object:
     return parse(_read_text(path), path)
 
 
-def _write_text(path: str | Path, text: str) -> None:
-    try:
-        Path(path).write_text(text, encoding="utf-8")
-    except OSError as exc:
-        raise IoFailure(f"cannot write {path}: {exc}") from exc
-
-
-def _write_into(out_dir: str, files: dict[str, str | bytes]) -> list[Path]:
-    directory = Path(out_dir)
-    try:
-        directory.mkdir(parents=True, exist_ok=True)
-        for name, content in files.items():  # in order: bytes as given, text as UTF-8
+def _write(files: dict[Path, str | bytes]) -> None:
+    for path, content in files.items():  # in order: bytes as given, text as UTF-8
+        try:
+            path.parent.mkdir(parents=True, exist_ok=True)
             if isinstance(content, bytes):
-                (directory / name).write_bytes(content)
+                path.write_bytes(content)
             else:
-                (directory / name).write_text(content, encoding="utf-8")
-    except OSError as exc:
-        raise IoFailure(f"cannot write to {directory}: {exc}") from exc
-    return [directory / name for name in files]
+                path.write_text(content, encoding="utf-8")
+        except OSError as exc:
+            raise IoFailure(f"cannot write to {path.parent}: {exc}") from exc
 
 
 def _load_library(path: str, body_key: str | None = None):
@@ -99,13 +89,12 @@ def _make_backend(name: str, config: dict):
 
 def _print_findings_stderr(findings: list[Finding]) -> None:
     for f in findings:
-        if f.severity != SEVERITY_ERROR:
-            print(f"{f.severity} {f.code}: {f.message}", file=sys.stderr)
+        print(f"{f.severity} {f.code}: {f.message}", file=sys.stderr)
 
 
 def _emit(args, payload: object, table: str) -> str:
     if args.format == "json":
-        return json.dumps(payload, ensure_ascii=False, indent=2)
+        return dumps(payload)
     return table
 
 
@@ -124,7 +113,7 @@ def _cmd_validate(args) -> CommandOutcome:
 def _cmd_summarize(args) -> CommandOutcome:
     lib = _load_library(args.infile, args.body_key)
     summarized = guidance.build_summary(lib, hint_max=args.hint_max)
-    _write_text(args.outfile, serialize_library(summarized))
+    _write({Path(args.outfile): serialize_library(summarized)})
     payload = {
         "out": args.outfile,
         "categories": len(summarized.categories),
@@ -137,7 +126,7 @@ def _cmd_summarize(args) -> CommandOutcome:
 
 def _cmd_strip(args) -> CommandOutcome:
     lib = _load_library(args.infile, args.body_key)
-    _write_text(args.outfile, serialize_library(guidance.strip_summary(lib)))
+    _write({Path(args.outfile): serialize_library(guidance.strip_summary(lib))})
     payload = {"out": args.outfile}
     return CommandOutcome(EXIT_OK, _emit(args, payload, f"wrote {args.outfile}"))
 
@@ -146,9 +135,9 @@ def _cmd_condition(args) -> CommandOutcome:
     lib = _load_library(args.infile, args.body_key)
     prompts = _load_prompts(args.prompts)
     cond = guidance.build_condition(lib, args.version, prompts, hint_max=args.hint_max)
-    lib_path, prompt_path = _write_into(args.out_dir, {
-        f"library_{cond.condition}.json": cond.library_artifact,
-        f"prompt_{cond.condition}.txt": cond.system_prompt + "\n"})
+    lib_path = Path(args.out_dir, f"library_{cond.condition}.json")
+    prompt_path = Path(args.out_dir, f"prompt_{cond.condition}.txt")
+    _write({lib_path: cond.library_artifact, prompt_path: cond.system_prompt + "\n"})
     payload = {"condition": cond.condition, "library": str(lib_path), "prompt": str(prompt_path)}
     table = f"condition {cond.condition}: {lib_path} + {prompt_path}"
     return CommandOutcome(EXIT_OK, _emit(args, payload, table))
@@ -174,17 +163,20 @@ def _cmd_expand(args) -> CommandOutcome:
             raise SdsrError(
                 f"specs file is round {cfg.round_id}, but --round {args.round} was given")
     result = distractors.expand_round(lib, cfg, hint_max=args.hint_max)
-    _write_text(args.outfile, serialize_library(result.library))
-    _print_findings_stderr(list(result.report))
+    _write({Path(args.outfile): serialize_library(result.library)})
+    # A library that sdsr validate would reject is a data error here too.
+    report = [*result.report, *(f for f in validate_library(result.library, hint_max=args.hint_max)
+                                if f.severity == SEVERITY_ERROR)]
+    _print_findings_stderr(report)
     payload = {
         "out": args.outfile,
         "categories": len(result.library.categories),
         "skills": result.library.total_skills,
-        "findings": encode(result.report),
+        "findings": encode(report),
     }
     table = (f"wrote {args.outfile}: {payload['categories']} categories, "
              f"{payload['skills']} skills")
-    code = EXIT_VALIDATION if has_errors(list(result.report)) else EXIT_OK
+    code = EXIT_VALIDATION if has_errors(report) else EXIT_OK
     return CommandOutcome(code, _emit(args, payload, table))
 
 
@@ -243,8 +235,9 @@ def _cmd_bench(args) -> CommandOutcome:
         guidance.build_condition(lib, name, prompts, hint_max=args.hint_max) for name in names]
     results = bench.run_benchmark(conditions, questions, backend)
     if args.out_dir is not None:
-        files = {f"transcript_{res.condition}.txt": res.transcript for res in results}
-        _write_into(args.out_dir, files | {"report.csv": bench.results_to_csv(results)})
+        files = {Path(args.out_dir, f"transcript_{res.condition}.txt"): res.transcript
+                 for res in results}
+        _write(files | {Path(args.out_dir, "report.csv"): bench.results_to_csv(results)})
     payload = [{"condition": res.condition, "error": res.error} if res.report is None else {
         "condition": res.condition,
         "primary_accuracy": res.report.primary_accuracy,
@@ -278,6 +271,8 @@ def _cmd_score(args) -> CommandOutcome:
 def _cmd_structure(args) -> CommandOutcome:
     text = _read_text(args.infile)
     rules = decode(tuple[corpus.SectionRule, ...], _load_json(args.rules))
+    if not rules:
+        raise MalformedFile(f"{args.rules}: ruleset must not be empty")
     doc = corpus.section_document(text, rules, doc_id=args.doc_id)
     summary = None
     if args.digests or args.refs:
@@ -288,7 +283,7 @@ def _cmd_structure(args) -> CommandOutcome:
     sidecar = encode(doc)
     if summary is not None:
         sidecar["summary"] = encode(summary)
-    _write_text(args.outfile, json.dumps(sidecar, ensure_ascii=False, indent=2) + "\n")
+    _write({Path(args.outfile): dumps(sidecar) + "\n"})
     payload = {
         "out": args.outfile,
         "sections": [{"section_id": s.section_id, "role": s.role} for s in doc.sections],
@@ -302,6 +297,9 @@ def _cmd_coload(args) -> CommandOutcome:
     doc = decode(corpus.SectionedDocument, data)
     summary = (decode(corpus.DocSummary, data["summary"], "summary") if "summary" in data
                else corpus.DocSummary(doc_id=doc.doc_id))
+    if summary.doc_id != doc.doc_id:
+        raise MalformedFile(f"{args.infile}: summary.doc_id: {summary.doc_id!r} "
+                            f"does not name the document {doc.doc_id!r}")
     section_ids = sorted(corpus.resolve_coload(args.query, summary, doc))
     payload = {"sections": section_ids}
     return CommandOutcome(EXIT_OK, _emit(args, payload, "\n".join(section_ids)))
@@ -320,7 +318,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--format", choices=("json", "table"), default="table",
                         help="stdout payload shape (default: table)")
     parser.add_argument("--config", default=None,
-                        help="JSON config file (remote backend settings, defaults)")
+                        help="JSON config file; its 'remote' section sets the remote backend")
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common_lib(p):

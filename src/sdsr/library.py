@@ -23,7 +23,7 @@ from functools import cached_property
 from json.encoder import encode_basestring
 
 from .errors import MalformedFile
-from .wire import decode, encode, parse
+from .wire import decode, dumps, encode, parse
 
 SEVERITY_ERROR = "ERROR"
 SEVERITY_WARNING = "WARNING"
@@ -389,7 +389,7 @@ def serialize_library(lib: KnowledgeLibrary) -> str:
         body[name] = {key: value for key, value in entry.items() if value is not None}
     if lib.provenance:
         out[PROVENANCE_KEY] = record["provenance"]
-    return json.dumps(out, ensure_ascii=False, indent=2) + "\n"
+    return dumps(out) + "\n"
 
 
 def deserialize_library(text: str | bytes) -> KnowledgeLibrary:

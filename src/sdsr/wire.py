@@ -1,11 +1,14 @@
-"""Parse JSON text, decode it into the package's frozen dataclasses, and encode them back.
+"""The JSON boundary: parse text, decode it into frozen dataclasses, encode them back, render text.
 
-:func:`parse` is the package's one reader from JSON text to a value.  A
-field is required unless its class gives it a default, and a field
-whose wire key differs from its name says so in
-``field(metadata={"key": ...})``; reader and writer both take the key
-from there.  Unknown keys are ignored and nothing is coerced: ``"3"`` is
-no integer and ``true`` is no number.
+:func:`parse` is the package's one reader from JSON text to a value, and
+:func:`dumps` its one writer of JSON text.  :func:`decode` and
+:func:`encode` take both directions from one type grammar: each type's
+codec is built once and holds its decoder and its encoder.  A field is
+required unless its class gives it a default, and a field whose wire key
+differs from its name says so in ``field(metadata={"key": ...})``;
+reader and writer both take the key from there.  Unknown keys are
+ignored and nothing is coerced: ``"3"`` is no integer and ``true`` is no
+number.
 """
 
 from __future__ import annotations
@@ -66,7 +69,7 @@ def decode(cls, obj: object, *root: str):
     MalformedFile naming the key path after the *root* keys of *obj*,
     e.g. ``distractors[0].skills[0].skill_name``.
     """
-    keep, convert = _decoder(cls)
+    keep, convert, _ = _codec(cls)
     try:
         return obj if type(obj) in keep else convert(obj)
     except _Invalid as exc:
@@ -82,29 +85,38 @@ def _fail(value, *expected: type):
 
 
 @functools.cache  # built once per type; a key path is built only on failure
-def _decoder(tp) -> tuple[tuple[type, ...], typing.Callable[[object], object]]:
-    # (the value types taken as parsed, the decoder for every other value)
+def _codec(tp) -> tuple[tuple[type, ...], typing.Callable[[object], object],
+                        typing.Callable[[object], object] | None]:
+    # (the value types decoded as parsed, the decoder for every other value,
+    #  the encoder, or None where a value is written as it is)
     if tp is float:
-        return (float,), lambda value: float(value) if type(value) is int else _fail(value, float)
-    if tp in (str, int):
-        return (tp,), lambda value: _fail(value, tp)
-    if tp is object:
-        return (), lambda value: value
+        return (float,), lambda value: (
+            float(value) if type(value) is int else _fail(value, float)), None
+    if tp in _SCALARS:
+        return (tp,), lambda value: _fail(value, tp), None
+    if tp is object:  # a parsed value, kept and written as it is
+        return (), lambda value: value, None
     if is_dataclass(tp):
-        return (), _record(tp)
+        return (), *_record(tp)
     origin, args = typing.get_origin(tp), typing.get_args(tp)
     if origin in (typing.Union, types.UnionType):
-        members = [_decoder(a) for a in args if a is not type(None)]
-        keep = sum((k for k, _ in members), ()) + tuple(a for a in args if a is type(None))
+        members = [_codec(a) for a in args if a is not type(None)]
+        keep = sum((k for k, _, _ in members), ()) + tuple(a for a in args if a is type(None))
         if len(members) == 1:
-            return keep, members[0][1]
-        if all(k for k, _ in members):  # scalars only, e.g. str | int
-            return keep, lambda value: _fail(value, *keep)
+            _, convert, encoder = members[0]
+            return keep, convert, None if encoder is None else (
+                lambda value: None if value is None else encoder(value))
+        if all(k for k, _, _ in members):  # scalars only, e.g. str | int
+            return keep, lambda value: _fail(value, *keep), None
     if origin is tuple and (args[-1] is Ellipsis or len(set(args)) == 1):  # one item type
-        return (), _items(*_decoder(args[0]), None if args[-1] is Ellipsis else len(args))
+        keep, convert, encoder = _codec(args[0])
+        return ((), _items(keep, convert, None if args[-1] is Ellipsis else len(args)),
+                list if encoder is None else lambda value: list(map(encoder, value)))
     if origin is dict and args[0] is str:
-        return (), _mapping(*_decoder(args[1]))
-    raise TypeError(f"no wire decoder for {tp!r}")
+        keep, convert, encoder = _codec(args[1])
+        return ((), _mapping(keep, convert), dict if encoder is None else (
+            lambda value: {key: encoder(v) for key, v in value.items()}))
+    raise TypeError(f"no wire codec for {tp!r}")
 
 
 def _items(keep, convert, count: int | None):
@@ -140,9 +152,11 @@ def _mapping(keep, convert):
 
 
 def _record(cls):
+    # (the decoder and the encoder of a record, both from its fields' codecs)
     hints = typing.get_type_hints(cls)
+    codecs = {f.name: _codec(hints[f.name]) for f in fields(cls)}
     plan = tuple(
-        (f.name, f.metadata.get("key", f.name), *_decoder(hints[f.name]),
+        (f.name, f.metadata.get("key", f.name), *codecs[f.name][:2],
          f.default is MISSING and f.default_factory is MISSING)
         for f in fields(cls) if f.init)
 
@@ -164,7 +178,18 @@ def _record(cls):
             return cls(**kwargs)
         except ValueError as exc:
             raise _Invalid(str(exc)) from None
-    return decode_record
+
+    # One generated dict display per type, as dataclasses builds __init__:
+    # it runs in half the time of a loop over the fields.
+    scope, items = {}, []
+    for f in fields(cls):
+        value = f"value.{f.name}"
+        if (encoder := codecs[f.name][2]) is not None:
+            scope[f"convert_{f.name}"] = encoder
+            value = f"convert_{f.name}({value})"
+        items.append(f"{f.metadata.get('key', f.name)!r}: {value}")
+    exec(f"def encode_record(value):\n    return {{{', '.join(items)}}}\n", scope)
+    return decode_record, scope["encode_record"]
 
 
 def encode(obj: object) -> object:
@@ -179,46 +204,10 @@ def encode(obj: object) -> object:
         return [encode(item) for item in obj]
     if type(obj) is dict:
         return {key: encode(value) for key, value in obj.items()}
-    convert = _encoder(type(obj))
+    convert = _codec(type(obj))[2]
     return obj if convert is None else convert(obj)
 
 
-@functools.cache  # built once per type, from the field types, as _decoder is
-def _encoder(tp) -> typing.Callable[[object], object] | None:
-    # None: a value of this type is written as it is, without a call
-    if tp in _SCALARS:
-        return None
-    if is_dataclass(tp):
-        return _encode_record(tp)
-    origin, args = typing.get_origin(tp), typing.get_args(tp)
-    if origin in (typing.Union, types.UnionType):
-        members = [_encoder(a) for a in args if a is not type(None)]
-        if not any(members):
-            return None
-        if len(members) == 1:
-            convert = members[0]
-            return lambda value: None if value is None else convert(value)
-    if origin is tuple and (args[-1] is Ellipsis or len(set(args)) == 1):
-        convert = _encoder(args[0])
-        return list if convert is None else lambda value: list(map(convert, value))
-    if origin is dict and args[0] is str:
-        convert = _encoder(args[1])
-        return dict if convert is None else (
-            lambda value: {key: convert(v) for key, v in value.items()})
-    raise TypeError(f"no wire encoder for {tp!r}")
-
-
-def _encode_record(cls):
-    # One generated dict display per type, as dataclasses builds __init__:
-    # it runs in half the time of a loop over the fields.
-    hints = typing.get_type_hints(cls)
-    scope, items = {}, []
-    for f in fields(cls):
-        value = f"value.{f.name}"
-        convert = _encoder(hints[f.name])
-        if convert is not None:
-            scope[f"convert_{f.name}"] = convert
-            value = f"convert_{f.name}({value})"
-        items.append(f"{f.metadata.get('key', f.name)!r}: {value}")
-    exec(f"def encode_record(value):\n    return {{{', '.join(items)}}}\n", scope)
-    return scope["encode_record"]
+def dumps(value: object) -> str:
+    """*value*, as :func:`encode` returns it, as JSON text: indented by two, non-ASCII kept."""
+    return json.dumps(value, ensure_ascii=False, indent=2)

@@ -201,6 +201,41 @@ class TestReadWriteFailures:
         assert error_lines(capsys) == [f"ERROR MalformedFile: {deep}: nested too deeply to decode"]
 
 
+_OUT_COMMANDS = {
+    "summarize": ["summarize", "--in", "{fixtures}/library_r1.json"],
+    "strip": ["strip", "--in", "{fixtures}/library_r1.json"],
+    "expand": ["expand", "--in", "{fixtures}/library_r1.json",
+               "--specs", "{fixtures}/round2_specs.json"],
+    "structure": ["structure", "--rules", "{fixtures}/judgment_rules.json",
+                  "--in", "{fixtures}/judgment.txt"],
+}
+
+
+@pytest.mark.parametrize("command", list(_OUT_COMMANDS))
+class TestOneWriter:
+    """Every --out FILE goes through the --out-dir writer: it makes the
+    file's directory, and a failure names that directory."""
+
+    @staticmethod
+    def write(command, fixture_dir, out):
+        return run([arg.format(fixtures=fixture_dir) for arg in _OUT_COMMANDS[command]]
+                   + ["--out", str(out)])
+
+    def test_out_into_a_missing_directory_is_made(self, command, fixture_dir, tmp_path):
+        deep, flat = tmp_path / "missing" / "twice" / "out.json", tmp_path / "out.json"
+        assert self.write(command, fixture_dir, deep).exit_code == 0
+        assert self.write(command, fixture_dir, flat).exit_code == 0
+        assert deep.read_bytes() == flat.read_bytes()
+
+    def test_out_under_a_regular_file_is_io_failure(self, command, fixture_dir, tmp_path,
+                                                     capsys):
+        parent = tmp_path / "taken"
+        parent.write_text("", encoding="utf-8")
+        assert self.write(command, fixture_dir, parent / "out.json").exit_code == 2
+        [line] = error_lines(capsys)
+        assert line.startswith(f"ERROR IoFailure: cannot write to {parent}: ")
+
+
 class TestScore:
     def test_round1_b_matrix_prints_21_5(self, fixture_dir):
         outcome = run([
@@ -460,6 +495,39 @@ class TestExpand:
         assert outcome.exit_code == 1
         assert "specs file holds no round" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("edit, code", [
+        (lambda spec: spec.update(name="Bad|Name"), "CATEGORY_NAME_DELIMITER"),
+        (lambda spec: spec["skills"][0].update(skill_name="x;y"), "SKILL_NAME_DELIMITER"),
+        (lambda spec: spec.pop("description"), "EMPTY_DESCRIPTION"),
+    ], ids=["category-delimiter", "skill-delimiter", "no-description"])
+    def test_output_that_validate_rejects_exits_one(self, fixture_dir, tmp_path, capsys,
+                                                    edit, code):
+        specs = json.loads((fixture_dir / "round2_specs.json").read_text(encoding="utf-8"))
+        edit(specs["distractors"][0])
+        path = tmp_path / "specs.json"
+        path.write_text(json.dumps(specs), encoding="utf-8")
+        out = tmp_path / "out.json"
+        capsys.readouterr()
+        outcome = run(["expand", "--in", str(fixture_dir / "library_r1.json"),
+                       "--specs", str(path), "--out", str(out)])
+        assert outcome.exit_code == 1
+        [line] = error_lines(capsys)
+        assert line.startswith(f"ERROR {code}: ")
+        validated = run(["validate", "--in", str(out)])
+        assert validated.exit_code == 1
+        assert f"ERROR {code}: " in validated.stdout_payload
+
+    def test_fixture_rounds_report_no_error(self, fixture_dir, tmp_path, capsys):
+        mid, out = tmp_path / "lib_r2.json", tmp_path / "lib_r3.json"
+        for source, specs, target in [(fixture_dir / "library_r1.json", "round2_specs.json", mid),
+                                      (mid, "round3_specs.json", out)]:
+            outcome = run(["--format", "json", "expand", "--in", str(source),
+                           "--specs", str(fixture_dir / specs), "--out", str(target)])
+            assert outcome.exit_code == 0
+            assert error_lines(capsys) == []
+            assert all(f["severity"] != "ERROR"
+                       for f in json.loads(outcome.stdout_payload)["findings"])
+
 
 class TestRouteSelectBench:
     def test_route_over_directory(self, fixture_dir, tmp_path):
@@ -666,6 +734,33 @@ class TestStructureCoload:
                       "--query", "judgment sum and costs ordered",
                       "--in", str(out)])
         assert json.loads(coload.stdout_payload)["sections"] == ["s5"]
+
+
+    def test_sidecar_summary_of_another_document_is_malformed(self, fixture_dir, tmp_path,
+                                                              capsys):
+        out = tmp_path / "judgment.sdsr.json"
+        run(["structure", "--rules", str(fixture_dir / "judgment_rules.json"),
+             "--in", str(fixture_dir / "judgment.txt"), "--out", str(out),
+             "--digests", str(fixture_dir / "judgment_digests.json"),
+             "--refs", str(fixture_dir / "judgment_refs.json")])
+        data = json.loads(out.read_text(encoding="utf-8"))
+        data["summary"]["doc_id"] = "other"
+        out.write_text(json.dumps(data), encoding="utf-8")
+        capsys.readouterr()
+        outcome = run(["coload", "--query", "damages", "--in", str(out)])
+        assert outcome.exit_code == 1
+        [line] = error_lines(capsys)
+        assert line.startswith(f"ERROR MalformedFile: {out}: summary.doc_id: ")
+
+    def test_empty_rules_file_is_malformed(self, fixture_dir, tmp_path, capsys):
+        rules = tmp_path / "rules.json"
+        rules.write_text("[]", encoding="utf-8")
+        outcome = run(["structure", "--rules", str(rules),
+                       "--in", str(fixture_dir / "judgment.txt"),
+                       "--out", str(tmp_path / "out.json")])
+        assert outcome.exit_code == 1
+        assert error_lines(capsys) == [f"ERROR MalformedFile: {rules}: ruleset must not be empty"]
+        assert not (tmp_path / "out.json").exists()
 
 
 def test_main_prints_payload_and_returns_code(fixture_dir, capsys):

@@ -23,9 +23,9 @@ from sdsr.library import (
     serialize_library,
 )
 from sdsr.remote import RemoteConfig
-from sdsr.wire import decode, encode, parse
+from sdsr.wire import decode, dumps, encode, parse
 
-from _fixtures import FIXTURES_DIR, fixture_judgment
+from _fixtures import FIXTURES_DIR, fixture_judgment, fixture_prompt_config, round3_config
 
 
 @pytest.mark.parametrize("tp, value, expected", [
@@ -85,6 +85,10 @@ def test_encodes_each_supported_shape(value, expected):
     assert json.dumps(encode(value)) == json.dumps(expected)  # keys in field order too
 
 
+def test_dumps_indents_by_two_and_keeps_non_ascii():
+    assert dumps({"k": ["é", None]}) == '{\n  "k": [\n    "é",\n    null\n  ]\n}'
+
+
 _text = st.text(max_size=6)
 _maybe_text = st.none() | _text
 _selection = st.builds(Selection, category=_text, skill=_text)
@@ -114,6 +118,10 @@ _judgment = section_document(_judgment_text, _judgment_rules)
 @given(_records)
 @example(_judgment)
 @example(build_doc_summary(_judgment, _judgment_digests, _judgment_refs)[0])
+@example(RemoteConfig(endpoint="e", model="m", field_names={"messages": "input"},
+                      response_content_path=("output", 0, "content", -1)))
+@example(round3_config())
+@example(fixture_prompt_config())
 def test_decode_inverts_encode(record):
     assert decode(type(record), json.loads(json.dumps(encode(record)))) == record
 
