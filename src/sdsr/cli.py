@@ -38,6 +38,25 @@ class CommandOutcome:
     stdout_payload: str
 
 
+@dataclass(frozen=True)
+class _BenchRow:
+    """A scored condition as ``sdsr bench --format json`` prints it; fields in wire order."""
+
+    condition: str
+    primary_accuracy: float
+    secondary_hit_rate: float
+    total: float
+    max_total: float
+
+
+@dataclass(frozen=True)
+class _FailedBenchRow:
+    """A condition whose backend failed, as ``sdsr bench --format json`` prints it."""
+
+    condition: str
+    error: str
+
+
 def _read_text(path: str) -> str:
     try:
         return Path(path).read_text(encoding="utf-8")
@@ -238,13 +257,11 @@ def _cmd_bench(args) -> CommandOutcome:
         files = {Path(args.out_dir, f"transcript_{res.condition}.txt"): res.transcript
                  for res in results}
         _write(files | {Path(args.out_dir, "report.csv"): bench.results_to_csv(results)})
-    payload = [{"condition": res.condition, "error": res.error} if res.report is None else {
-        "condition": res.condition,
-        "primary_accuracy": res.report.primary_accuracy,
-        "secondary_hit_rate": res.report.secondary_hit_rate,
-        "total": res.report.total,
-        "max_total": res.report.max_total,
-    } for res in results]
+    payload = encode([
+        _FailedBenchRow(res.condition, res.error) if res.report is None else _BenchRow(
+            res.condition, res.report.primary_accuracy, res.report.secondary_hit_rate,
+            res.report.total, res.report.max_total)
+        for res in results])
     table = bench.report_table(results)
     code = EXIT_TRANSPORT if any(r.report is None for r in results) else EXIT_OK
     return CommandOutcome(code, _emit(args, payload, table))

@@ -28,29 +28,30 @@ so scoring a compiled entry takes two set intersections, and yields
 the same integer numerator and denominator, hence the same float.
 
 Per-call cost of the lexical backend: the texts of a file's index
-(tier 1), or of a category and its skills (tier 2), are first joined
-with newlines, lowered once and searched for each query token as a
+(tier 1), or of a category and its skills (tier 2), joined with
+newlines and lowered, are searched for each query token as a
 substring, shortest token first.  On a miss every score in the block
 is 0.0, and the block is skipped without being tokenized.  Each query
-is tokenized once per call.  Tier 1 compiles every other file's index
-entries once per call, since its summaries are decoded afresh for
-each call.  Tier 2 reads every other category's compiled entries from
-``Category.token_view``, which tokenizes the category's texts on first
-use and keeps them on the category object, so every later call, and
-every guidance condition sharing that object, tokenizes only the
-questions.  For each question the category score is computed once,
-and a skill is scored only when it shares a token with the question;
-each question keeps one best pair per category, from which two linear
-``min`` passes pick the top two.  On English text, where stop words
-make nearly every block hit, the gate saves nothing and costs a join,
-one ``lower()`` and, as the shortest tokens are tried first, about one
-substring scan per block.
+is tokenized once per call.  Tier 1 joins and compiles every other
+file's index entries once per call, since its summaries are decoded
+afresh for each call.  Tier 2 reads a category's lowered text from
+``Category.lowered_text`` and every other category's compiled entries
+from ``Category.token_view``; each is built on first use and kept on
+the category object, so every later call, and every guidance condition
+sharing that object, tokenizes only the questions.  For each question
+the category score is computed once, and a skill is scored only when
+it shares a token with the question; each question keeps one best pair
+per category, from which two linear ``min`` passes pick the top two.
+On English text, where stop words make nearly every block hit, the
+gate saves nothing and costs, as the shortest tokens are tried first,
+about one substring scan per block, plus one join and ``lower()`` per
+block the first time.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Iterable, Protocol, Sequence
+from typing import Protocol, Sequence
 
 from .errors import (
     AllSelectionsInvalid,
@@ -160,19 +161,18 @@ def _overlap(query_tokens: frozenset[str], entry: TokenEntry) -> float:
     return (2 * shared_name + shared_text) / denominator
 
 
-def _shares_token(probes: Sequence[str], texts: Iterable[str]) -> bool:
-    """Whether some query token in ``probes`` occurs, as a substring, in the lowered texts.
+def _shares_token(probes: Sequence[str], lowered: str) -> bool:
+    """Whether some query token in ``probes`` occurs, as a substring, in *lowered*.
 
-    Each token of a text is a run of its lowered form, and the newline
-    that joins the texts is no token character, so False means every
-    overlap with these texts is empty.  True may come from a
-    substring-only match, which exact scoring then sorts out.  Callers
-    order the probes shortest first: a short token is the likeliest
-    substring, so on English text a stop word such as ``a`` ends the
-    scan at once, where set order tried about a dozen tokens first.
+    *lowered* is texts joined by newlines, then lowered.  Each token of a
+    text is a run of its lowered form, and the newline is no token
+    character, so False means every overlap with these texts is empty.
+    True may come from a substring-only match, which exact scoring then
+    sorts out.  Callers order the probes shortest first: a short token is
+    the likeliest substring, so on English text a stop word such as ``a``
+    ends the scan at once, where set order tried about a dozen tokens first.
     """
-    joined = "\n".join(texts).lower()
-    return any(token in joined for token in probes)
+    return any(token in lowered for token in probes)
 
 
 def weighted_overlap(
@@ -210,8 +210,9 @@ class LexicalBackend:
     A file, or a category with its skills, whose text holds no query
     token even as a substring scores 0.0 without being tokenized.  route
     compiles every other file's entries once per call; select reads
-    every other category's ``Category.token_view``, built on its first
-    use and shared by every later call on the same object.
+    each category's ``Category.lowered_text`` and every other one's
+    ``Category.token_view``, built on first use and shared by every
+    later call on the same object.
     """
 
     def route(
@@ -223,8 +224,9 @@ class LexicalBackend:
         for file_id, block in summaries:
             entries = block.category_index
             score = 0.0
-            if _shares_token(probes, (
-                    text for entry in entries for text in (entry.name, entry.routing_hint))):
+            lowered = "\n".join(
+                text for entry in entries for text in (entry.name, entry.routing_hint)).lower()
+            if _shares_token(probes, lowered):
                 score = max(_overlap(query_tokens, token_entry(entry.name, entry.routing_hint))
                             for entry in entries)
             scores.append((file_id, score))
@@ -248,9 +250,8 @@ class LexicalBackend:
                 cat_name = cat.name.strip()
                 # A skill that shares no token with a question scores the category score
                 # alone for it, so the least trimmed name stands for all such skills.
-                first_skill = min(skill.name.strip() for skill in cat.skills)
-                if not _shares_token(probes, (cat.name, cat.description, *(
-                        text for skill in cat.skills for text in (skill.name, skill.description)))):
+                first_skill = cat.first_skill
+                if not _shares_token(probes, cat.lowered_text):
                     for pairs in ranked:
                         pairs.append((-0.0, cat_name, first_skill))
                     continue

@@ -23,7 +23,7 @@ from functools import cached_property
 from json.encoder import encode_basestring
 
 from .errors import MalformedFile
-from .wire import decode, dumps, encode, parse
+from .wire import Text, decode, dumps, encode, parse
 
 SEVERITY_ERROR = "ERROR"
 SEVERITY_WARNING = "WARNING"
@@ -113,6 +113,39 @@ class Category:
         """
         return token_entry(self.name, self.description), tuple(
             token_entry(skill.name, skill.description) for skill in self.skills)
+
+    @cached_property
+    def lowered_text(self) -> str:
+        """The category's name and description and each skill's, newline-joined and lowered.
+
+        Tier 2's substring gate searches it for query tokens before it
+        reads ``token_view``; kept, like that view, for the life of this
+        object and outside ==, hash and the wire format.
+        """
+        return "\n".join((self.name, self.description, *(
+            text for skill in self.skills for text in (skill.name, skill.description)))).lower()
+
+    @cached_property
+    def first_skill(self) -> str:
+        """The least trimmed skill name, kept like ``lowered_text``.
+
+        Tier 2 pairs it with a question that shares no token with any skill.
+        """
+        return min(skill.name.strip() for skill in self.skills)
+
+    @cached_property
+    def body_text(self) -> Text:
+        """The category's entry under a library file's body key, as JSON text.
+
+        The writer's side of decode_library's hook: the name is the entry's
+        key, so it is left out, and so is an unset annotation.  Rendered on
+        first use and kept for the life of this object, so every library
+        variant sharing it writes its entry once.  Not a field, so ==, hash
+        and the wire format ignore it.
+        """
+        entry = encode(self)
+        del entry["name"]
+        return Text(dumps({key: value for key, value in entry.items() if value is not None}))
 
 
 TokenEntry = tuple[frozenset[str], frozenset[str], str]
@@ -379,16 +412,11 @@ def _validate_summary(
 
 def serialize_library(lib: KnowledgeLibrary) -> str:
     """Render the library as stable JSON text, summary first, the body under its body key."""
-    record = encode(lib)
-    out: dict = {} if lib.summary is None else {SUMMARY_KEY: record["summary"]}
-    # The writer's side of decode_library's hook: a category's name is its
-    # body key, and an unset annotation is left out.
-    body = out[lib.body_key] = {}
-    for entry in record["categories"]:
-        name = entry.pop("name")
-        body[name] = {key: value for key, value in entry.items() if value is not None}
+    out: dict = {} if lib.summary is None else {SUMMARY_KEY: encode(lib.summary)}
+    # A category's name is its body key; Category.body_text renders the rest once.
+    out[lib.body_key] = {cat.name: cat.body_text for cat in lib.categories}
     if lib.provenance:
-        out[PROVENANCE_KEY] = record["provenance"]
+        out[PROVENANCE_KEY] = lib.provenance
     return dumps(out) + "\n"
 
 

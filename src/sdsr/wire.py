@@ -19,6 +19,7 @@ import re
 import types
 import typing
 from dataclasses import MISSING, fields, is_dataclass
+from json.encoder import encode_basestring as _escape
 
 from .errors import MalformedFile
 
@@ -208,6 +209,80 @@ def encode(obj: object) -> object:
     return obj if convert is None else convert(obj)
 
 
+class Text:
+    """JSON text that :func:`dumps` rendered before, for :func:`dumps` to insert as it is.
+
+    :func:`dumps` re-indents it to its depth by prefixing each line after
+    the first, which is safe because an encoded JSON string never holds a
+    raw line break.
+    """
+
+    __slots__ = ("text",)
+
+    def __init__(self, text: str) -> None:
+        self.text = text
+
+
 def dumps(value: object) -> str:
-    """*value*, as :func:`encode` returns it, as JSON text: indented by two, non-ASCII kept."""
-    return json.dumps(value, ensure_ascii=False, indent=2)
+    """*value*, as :func:`encode` returns it, as JSON text: indented by two, non-ASCII kept.
+
+    The text is ``json.dumps(value, ensure_ascii=False, indent=2)``, byte
+    for byte; a :class:`Text` in *value* is written as the value it renders.
+    With an indent, ``json.dumps`` runs its pure-Python encoder; this one
+    appends to one list and escapes strings with the same C function.
+    """
+    parts: list[str] = []
+    _render(value, "\n", parts)
+    return "".join(parts)
+
+
+def _render(value, newline: str, parts: list[str]) -> None:
+    # *newline* is a line break and the indent of value's own depth.
+    kind = type(value)
+    if kind is str:
+        parts.append(_escape(value))
+    elif kind is dict:
+        if not value:
+            parts.append("{}")
+            return
+        start, inner = len(parts), newline + "  "
+        separator = "{" + inner
+        for key, item in value.items():
+            if type(key) is not str:  # json.dumps converts int, float, bool and None keys
+                del parts[start:]
+                parts.append(_json_text(value, newline))
+                return
+            if type(item) is str:  # most leaves: no call
+                parts.append(f"{separator}{_escape(key)}: {_escape(item)}")
+            else:
+                parts.append(f"{separator}{_escape(key)}: ")
+                _render(item, inner, parts)
+            separator = "," + inner
+        parts.append(newline + "}")
+    elif kind is list or kind is tuple:
+        if not value:
+            parts.append("[]")
+            return
+        inner = newline + "  "
+        separator = "[" + inner
+        for item in value:
+            parts.append(separator)
+            _render(item, inner, parts)
+            separator = "," + inner
+        parts.append(newline + "]")
+    elif kind is Text:
+        parts.append(value.text.replace("\n", newline))
+    elif value is None:
+        parts.append("null")
+    elif value is True:
+        parts.append("true")
+    elif value is False:
+        parts.append("false")
+    elif kind is int:
+        parts.append(int.__repr__(value))
+    else:  # a float, a subclass, or no JSON value: json.dumps writes it or raises TypeError
+        parts.append(_json_text(value, newline))
+
+
+def _json_text(value, newline: str) -> str:
+    return json.dumps(value, ensure_ascii=False, indent=2).replace("\n", newline)

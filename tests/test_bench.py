@@ -14,6 +14,7 @@ from sdsr.bench import (
     score_responses,
 )
 from sdsr.cli import dispatch
+from sdsr.distractors import expand_round
 from sdsr.engine import QuestionSelection, Selection, SelectionSet
 from sdsr.errors import EmptyKey, MalformedFile, TransportError, UnknownQuestion
 from sdsr.guidance import build_condition
@@ -21,7 +22,8 @@ from sdsr.library import tokenize
 from sdsr.wire import decode, encode
 
 from _fixtures import (
-    FIXTURES_DIR, build_fixture_library, fixture_prompt_config, round1_selection_fixture)
+    FIXTURES_DIR, build_fixture_library, fixture_prompt_config, round1_selection_fixture,
+    round2_config, round3_config)
 
 
 class TestParseResponse:
@@ -280,6 +282,29 @@ class TestRunBenchmark:
             text for cat in lib.categories
             for text in (cat.name, cat.description, *(
                 part for skill in cat.skills for part in (skill.name, skill.description)))]
+
+    def test_sweep_renders_and_lowers_each_category_once(self, questions, lexical_backend,
+                                                         monkeypatch):
+        calls = {"body_text": [], "lowered_text": []}
+        for attribute, seen in calls.items():
+            compute = getattr(library.Category, attribute).func
+
+            def counting(cat, compute=compute, seen=seen):
+                seen.append(cat)
+                return compute(cat)
+
+            monkeypatch.setattr(getattr(library.Category, attribute), "func", counting)
+        round2 = expand_round(build_fixture_library(with_summary=False), round2_config())
+        lib = expand_round(round2.library, round3_config()).library
+        conditions = self._conditions(lib)
+        results = run_benchmark(conditions, questions, lexical_backend)
+        assert [r.condition for r in results if r.report is not None] == ["A", "B", "C", "D"]
+        # Each condition wrote its artifact and ran its select, and the four
+        # share one categories tuple.
+        assert all(cond.library.categories is lib.categories for cond in conditions)
+        assert len(lib.categories) == 120
+        for seen in calls.values():
+            assert [id(cat) for cat in seen] == [id(cat) for cat in lib.categories]
 
     def test_empty_condition_list_raises(self, questions, lexical_backend):
         with pytest.raises(ValueError):

@@ -608,6 +608,27 @@ class TestRouteSelectBench:
         assert "failed" in outcome.stdout_payload
         capsys.readouterr()
 
+    def test_bench_json_names_each_failed_condition_and_its_error(self, fixture_dir,
+                                                                  monkeypatch):
+        import sdsr.cli as cli_module
+        from sdsr.errors import TransportError
+
+        class DoomedBackend:
+            def select(self, questions, libraries, system_prompt=None):
+                raise TransportError("down")
+
+        monkeypatch.setattr(cli_module, "_make_backend", lambda name, cfg: DoomedBackend())
+        outcome = run([
+            "--format", "json", "bench", "--conditions", "A,B",
+            "--lib", str(fixture_dir / "library_r1.json"),
+            "--questions", str(fixture_dir / "questions_20.json"),
+        ])
+        assert outcome.exit_code == 3
+        assert outcome.stdout_payload == json.dumps([
+            {"condition": "A", "error": "TransportError: down"},
+            {"condition": "B", "error": "TransportError: down"},
+        ], indent=2)
+
     def test_select_exit_three_when_remote_transport_raises_socket_error(
             self, fixture_dir, tmp_path, monkeypatch, capsys):
         import sdsr.remote as remote_module

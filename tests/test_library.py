@@ -168,6 +168,37 @@ def test_category_token_view_is_not_part_of_equality():
         KnowledgeLibrary(categories=(twin,)))
 
 
+@pytest.mark.parametrize("attribute", ["body_text", "lowered_text", "first_skill"])
+def test_category_cached_texts_are_not_part_of_equality(attribute):
+    cat = Category(name=" Topic_A ", description="Topic Alpha", complement="B",
+                   skills=(Skill(name=" Sk_2", description="Gamma"), Skill(name="Sk_1")))
+    twin = dataclasses.replace(cat)
+    before = hash(cat), encode(cat), repr(cat)
+    getattr(cat, attribute)
+    assert attribute in vars(cat) and attribute not in vars(twin)
+    assert attribute not in {f.name for f in dataclasses.fields(Category)}
+    assert cat == twin
+    assert hash(cat) == hash(twin) == before[0]
+    assert encode(cat) == encode(twin) == before[1]
+    assert repr(cat) == before[2]
+
+
+def test_category_cached_texts_are_read_from_the_category():
+    cat = Category(name=" Topic_A ", description="Topic Alpha", complement="B",
+                   skills=(Skill(name=" Sk_2", description="Gamma"), Skill(name="Sk_1")))
+    assert cat.lowered_text == " topic_a \ntopic alpha\n sk_2\ngamma\nsk_1\n"
+    assert cat.first_skill == "Sk_1"
+    assert cat.body_text.text == (
+        '{\n  "category_description": "Topic Alpha",\n  "complement": "B",\n  "skills": [\n'
+        '    {\n      "skill_name": " Sk_2",\n      "description": "Gamma"\n    },\n'
+        '    {\n      "skill_name": "Sk_1",\n      "description": ""\n    }\n  ]\n}')
+    # A replaced category is a new object with its own texts.
+    changed = dataclasses.replace(cat, description="Topic Omega")
+    assert '"category_description": "Topic Omega"' in changed.body_text.text
+    assert "topic omega" in changed.lowered_text
+    assert '"category_description": "Topic Alpha"' in cat.body_text.text
+
+
 def test_validate_is_pure(fixture_library):
     assert validate_library(fixture_library) == validate_library(fixture_library)
 

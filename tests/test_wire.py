@@ -1,8 +1,10 @@
 import json
+import random
 import re
+from dataclasses import replace
 
 import pytest
-from hypothesis import example, given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from sdsr.bench import questions_from_json
@@ -23,9 +25,10 @@ from sdsr.library import (
     serialize_library,
 )
 from sdsr.remote import RemoteConfig
-from sdsr.wire import decode, dumps, encode, parse
+from sdsr.wire import Text, decode, dumps, encode, parse
 
 from _fixtures import FIXTURES_DIR, fixture_judgment, fixture_prompt_config, round3_config
+from _generators import random_library
 
 
 @pytest.mark.parametrize("tp, value, expected", [
@@ -87,6 +90,84 @@ def test_encodes_each_supported_shape(value, expected):
 
 def test_dumps_indents_by_two_and_keeps_non_ascii():
     assert dumps({"k": ["é", None]}) == '{\n  "k": [\n    "é",\n    null\n  ]\n}'
+
+
+def _stdlib_dumps(value):
+    return json.dumps(value, ensure_ascii=False, indent=2)
+
+
+# Every character class the escaper treats apart, then any code point,
+# lone surrogates included.
+_json_text = st.text(st.sampled_from(['"', "\\", "/", "\x00", "\n", "\x1f", "\x7f", "\u2028",
+                                      "é", "中", "\U0001f3b5", "\ud800", "\udfff", "a"])
+                     | st.characters(blacklist_categories=()), max_size=8)
+_json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.integers(-10**40, 10**40)
+    | st.floats() | st.sampled_from([float("nan"), float("inf"), float("-inf"), -0.0])
+    | _json_text,
+    lambda children: st.lists(children, max_size=4) | st.lists(children, max_size=4).map(tuple)
+    | st.dictionaries(_json_text, children, max_size=4)
+    # json.dumps writes int, float, bool and None keys as strings
+    | st.dictionaries(st.integers() | st.floats() | st.booleans() | st.none() | _json_text,
+                      children, max_size=3),
+    max_leaves=12)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_json_values)
+@example({})
+@example([])
+@example(())
+@example({"a": {}, "b": [[], {}, ()]})
+@example({"k": {1: "int key", "s": [1.5]}})
+@example([float("nan"), float("inf"), float("-inf"), -0.0, 10**40, True, False, None])
+def test_dumps_is_stdlib_json_dumps_with_an_indent_of_two(value):
+    assert dumps(value) == _stdlib_dumps(value)
+    # Text already rendered reads the same at any depth.
+    assert dumps((Text(dumps(value)), {"k": Text(dumps(value))})) == _stdlib_dumps(
+        [value, {"k": value}])
+
+
+def test_dumps_raises_the_stdlib_error_for_what_json_cannot_encode():
+    value = {"a": [1, {"b": object()}]}
+    with pytest.raises(TypeError) as ours:
+        dumps(value)
+    with pytest.raises(TypeError) as stdlib:
+        _stdlib_dumps(value)
+    assert str(ours.value) == str(stdlib.value)
+
+
+def _serialize_from_the_record(lib):
+    # serialize_library as it was before categories cached their text:
+    # the whole record encoded, then rendered by the stdlib in one call.
+    record = encode(lib)
+    out = {} if lib.summary is None else {"_summary": record["summary"]}
+    body = out[lib.body_key] = {}
+    for entry in record["categories"]:
+        name = entry.pop("name")
+        body[name] = {key: value for key, value in entry.items() if value is not None}
+    if lib.provenance:
+        out["_provenance"] = record["provenance"]
+    return _stdlib_dumps(out) + "\n"
+
+
+@settings(max_examples=120, deadline=None)
+@given(seed=st.integers(0, 10_000), text=_json_text,
+       body_key=st.sampled_from(["High_Impact_Skills_Library", "Body", "_skills"]),
+       duplicate=st.booleans(), no_skills=st.booleans(), provenance=st.booleans())
+def test_serialize_library_is_the_record_rendered_whole(seed, text, body_key, duplicate,
+                                                        no_skills, provenance):
+    lib = random_library(random.Random(seed))
+    first, *rest = lib.categories
+    first = replace(first, description=text, distractor_tier=text or None,
+                    skills=() if no_skills else first.skills)
+    if duplicate:  # a later category under the first one's name
+        rest.append(replace(rest[-1] if rest else first, name=first.name))
+    lib = replace(lib, categories=(first, *rest), body_key=body_key,
+                  provenance={"run": text, "é": "\u2028"} if provenance else {})
+    expected = _serialize_from_the_record(lib)
+    assert serialize_library(lib) == expected  # each category rendered cold
+    assert serialize_library(lib) == expected  # and read back warm
 
 
 _text = st.text(max_size=6)
