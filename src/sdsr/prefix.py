@@ -34,7 +34,7 @@ from typing import Iterator, NoReturn
 
 from .errors import IoFailure, MalformedFile, NoSummary, SummaryNotFirst
 from .library import SUMMARY_KEY, Finding, SEVERITY_WARNING, SummaryBlock
-from .wire import decode
+from .wire import LONG_INTEGER, decode
 
 DEFAULT_BLOCK_SIZE = 4096
 
@@ -133,6 +133,8 @@ _WS = re.compile(r"[ \t\n\r]*")
 # a block edge can cut "-1.5e3" to "-1.", which decodes as -1.
 _DELIMITERS = frozenset(" \t\n\r,}")
 _CLOSERS = {"{": "}", "[": "]", '"': '"'}
+# The characters a cut number literal can end in.
+_NUMBER_TAIL = frozenset("0123456789+-.eE")
 # A decode error this close to the end of the text may be a token cut
 # by a block edge; the longest such token is "-Infinity".
 _CUT_TOKEN_MAX = 9
@@ -194,6 +196,12 @@ class _BlockText:
                 value, end = _DECODER.raw_decode(self.text, start)
             except json.JSONDecodeError as exc:
                 message, pos = exc.msg, exc.pos
+            except ValueError:
+                # A block edge may have cut a float's digits down to an integer's.
+                if self.eof or self.text[-1] not in _NUMBER_TAIL:
+                    raise self.error(LONG_INTEGER) from None
+                self.read_until(closer)
+                continue
             else:
                 if closer or self.text[end:end + 1] in _DELIMITERS:
                     self.end = end

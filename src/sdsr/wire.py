@@ -3,7 +3,11 @@
 :func:`parse` is the package's one reader from JSON text to a value, and
 :func:`dumps` its one writer of JSON text.  :func:`decode` and
 :func:`encode` take both directions from one type grammar: each type's
-codec is built once and holds its decoder and its encoder.  A field is
+codec is built once and holds its decoder and its encoder.  Both record
+directions are generated code, built once per dataclass with ``exec`` as
+``dataclasses`` builds ``__init__``: the decoder reads each field into a
+local and ends in one positional call of the class, so ``__post_init__``
+runs, and the encoder is one dict display.  A field is
 required unless its class gives it a default, and a field whose wire key
 differs from its name says so in ``field(metadata={"key": ...})``;
 reader and writer both take the key from there.  Unknown keys are
@@ -14,6 +18,7 @@ number.
 from __future__ import annotations
 
 import functools
+import inspect
 import json
 import re
 import types
@@ -30,11 +35,15 @@ _KINDS = {dict: "an object", list: "a list", str: "a string", int: "an integer",
 
 # An escape that json.loads may turn into a lone surrogate, which no writer can encode.
 _SURROGATE_ESCAPE = re.compile(r"\\u[dD][89a-fA-F][0-9a-fA-F]{2}")
+# json.loads raises a bare ValueError, with no position, for an integer literal
+# int() refuses; both JSON readers report it in these words.
+LONG_INTEGER = "an integer literal has more digits than sys.get_int_max_str_digits() allows"
 
 
 def parse(text: str | bytes, where: str) -> object:
     """Parse JSON *text*, bytes as strict UTF-8; MalformedFile, prefixed by a non-empty
-    *where*, if it is not UTF-8 or not JSON, nests too deeply or escapes a lone surrogate."""
+    *where*, if it is not UTF-8 or not JSON, nests too deeply, escapes a lone surrogate or
+    spells an integer too long for ``int``."""
     prefix = f"{where}: " if where else ""
     try:
         text = text.decode("utf-8") if isinstance(text, bytes) else text
@@ -43,6 +52,8 @@ def parse(text: str | bytes, where: str) -> object:
         raise MalformedFile(f"{prefix}not UTF-8: {exc}") from None
     except json.JSONDecodeError as exc:
         raise MalformedFile(f"{prefix}invalid JSON: {exc}") from None
+    except ValueError:
+        raise MalformedFile(f"{prefix}{LONG_INTEGER}") from None
     except RecursionError:
         raise MalformedFile(f"{prefix}nested too deeply to decode") from None
     # A lone-surrogate escape needs a backslash, which most files never hold.
@@ -85,14 +96,22 @@ def _fail(value, *expected: type):
     raise _Invalid(f"expected {wanted}, got {_KINDS.get(type(value), type(value).__name__)}")
 
 
+def _to_float(value) -> float:
+    if type(value) is not int:
+        _fail(value, float)
+    try:
+        return float(value)
+    except OverflowError:
+        raise _Invalid("expected a number, got an integer too large to convert") from None
+
+
 @functools.cache  # built once per type; a key path is built only on failure
 def _codec(tp) -> tuple[tuple[type, ...], typing.Callable[[object], object],
                         typing.Callable[[object], object] | None]:
     # (the value types decoded as parsed, the decoder for every other value,
     #  the encoder, or None where a value is written as it is)
     if tp is float:
-        return (float,), lambda value: (
-            float(value) if type(value) is int else _fail(value, float)), None
+        return (float,), _to_float, None
     if tp in _SCALARS:
         return (tp,), lambda value: _fail(value, tp), None
     if tp is object:  # a parsed value, kept and written as it is
@@ -126,18 +145,25 @@ def _items(keep, convert, count: int | None):
             _fail(value, list)
         if count is not None and len(value) != count:
             raise _Invalid(f"expected {count} items, got {len(value)}")
-        out = []
         try:
-            for element in value:
-                out.append(element if type(element) in keep else convert(element))
-        except _Invalid as exc:
-            exc.path.append(len(out))
+            return tuple([element if type(element) in keep else convert(element)
+                          for element in value])
+        except _Invalid:
+            # Decoding is pure, so a second walk fails at the same element: it names the index.
+            for index, element in enumerate(value):
+                try:
+                    if type(element) not in keep:
+                        convert(element)
+                except _Invalid as exc:
+                    exc.path.append(index)
+                    raise
             raise
-        return tuple(out)
     return decode_items
 
 
 def _mapping(keep, convert):
+    # A loop, not a comprehension as in _items: on the few keys a record's
+    # mapping holds, the comprehension measured 3-8 % slower.
     def decode_values(value):
         if type(value) is not dict:
             _fail(value, dict)
@@ -153,44 +179,59 @@ def _mapping(keep, convert):
 
 
 def _record(cls):
-    # (the decoder and the encoder of a record, both from its fields' codecs)
+    # (the decoder and the encoder of a record, both generated once from its
+    #  fields' codecs, as dataclasses generates __init__: straight-line code
+    #  is cheaper in both directions than a loop over the fields)
     hints = typing.get_type_hints(cls)
     codecs = {f.name: _codec(hints[f.name]) for f in fields(cls)}
-    plan = tuple(
-        (f.name, f.metadata.get("key", f.name), *codecs[f.name][:2],
-         f.default is MISSING and f.default_factory is MISSING)
-        for f in fields(cls) if f.init)
+    init = [f for f in fields(cls) if f.init]
+    # The decoder passes every field by position, so __init__ must take exactly these, in order.
+    if [(p.name, p.kind) for p in inspect.signature(cls).parameters.values()] != [
+            (f.name, inspect.Parameter.POSITIONAL_OR_KEYWORD) for f in init]:
+        raise TypeError(f"no wire codec for {cls!r}: __init__ does not take its fields by position")
 
-    def decode_record(value):
-        if type(value) is not dict:
-            _fail(value, dict)
-        kwargs = {}
-        try:
-            for name, key, keep, convert, required in plan:
-                element = value.get(key, MISSING)
-                if element is not MISSING:
-                    kwargs[name] = element if type(element) in keep else convert(element)
-                elif required:
-                    raise _Invalid("missing required key")
-        except _Invalid as exc:
-            exc.path.append(key)
-            raise
-        try:
-            return cls(**kwargs)
-        except ValueError as exc:
-            raise _Invalid(str(exc)) from None
+    scope = {"cls": cls, "MISSING": MISSING, "_Invalid": _Invalid, "_fail": _fail}
+    lines = ["def decode_record(value):",
+             "    if type(value) is not dict:",
+             "        _fail(value, dict)"]
+    for i, f in enumerate(init):
+        keep, scope[f"convert_{i}"], _ = codecs[f.name]
+        if f.default is not MISSING:
+            scope[f"default_{i}"] = f.default
+            fill = f"v{i} = default_{i}"
+        elif f.default_factory is not MISSING:
+            scope[f"factory_{i}"] = f.default_factory
+            fill = f"v{i} = factory_{i}()"
+        else:
+            fill = 'raise _Invalid("missing required key")'
+        read = [f"if v{i} is MISSING:", f"    {fill}", "else:", f"    v{i} = convert_{i}(v{i})"]
+        if keep:  # a value of a kept type is taken as parsed, with no call
+            scope[f"keep_{i}"] = keep[0] if len(keep) == 1 else keep
+            check = "is not" if len(keep) == 1 else "not in"
+            read = [f"if type(v{i}) {check} keep_{i}:", *("    " + line for line in read)]
+        key = f.metadata.get("key", f.name)
+        lines += ["    try:",
+                  f"        v{i} = value.get({key!r}, MISSING)",
+                  *("        " + line for line in read),
+                  "    except _Invalid as exc:",
+                  f"        exc.path.append({key!r})",
+                  "        raise"]
+    # One positional call: cheaper than keywords, and __post_init__ still runs.
+    lines += ["    try:",
+              f"        return cls({', '.join(f'v{i}' for i in range(len(init)))})",
+              "    except ValueError as exc:",
+              "        raise _Invalid(str(exc)) from None"]
 
-    # One generated dict display per type, as dataclasses builds __init__:
-    # it runs in half the time of a loop over the fields.
-    scope, items = {}, []
-    for f in fields(cls):
+    items = []
+    for i, f in enumerate(fields(cls)):
         value = f"value.{f.name}"
         if (encoder := codecs[f.name][2]) is not None:
-            scope[f"convert_{f.name}"] = encoder
-            value = f"convert_{f.name}({value})"
+            scope[f"encode_{i}"] = encoder
+            value = f"encode_{i}({value})"
         items.append(f"{f.metadata.get('key', f.name)!r}: {value}")
-    exec(f"def encode_record(value):\n    return {{{', '.join(items)}}}\n", scope)
-    return decode_record, scope["encode_record"]
+    lines += ["def encode_record(value):", f"    return {{{', '.join(items)}}}"]
+    exec("\n".join(lines), scope)
+    return scope["decode_record"], scope["encode_record"]
 
 
 def encode(obj: object) -> object:

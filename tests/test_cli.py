@@ -9,6 +9,7 @@ from sdsr import prefix
 from sdsr.cli import dispatch, main
 from sdsr.guidance import PromptConfig, expand_extended_prompt
 from sdsr.library import deserialize_library
+from sdsr.wire import LONG_INTEGER
 
 from _fixtures import FIXTURES_DIR
 
@@ -192,6 +193,18 @@ class TestReadWriteFailures:
         out = tmp_path / "summarized.json"
         assert run(["summarize", "--in", str(library), "--out", str(out)]).exit_code == 0
         assert "\U0001f3b5 " in out.read_text(encoding="utf-8")
+
+    def test_an_integer_literal_too_long_for_int_is_malformed(self, fixture_dir, tmp_path,
+                                                              capsys):
+        text = (fixture_dir / "library_r1.json").read_text(encoding="utf-8")
+        library = tmp_path / "library.json"
+        library.write_text(text.replace('"skill_count": 7', '"skill_count": 1' + "0" * 5000, 1),
+                           encoding="utf-8")
+        assert run(["validate", "--in", str(library)]).exit_code == 1
+        assert error_lines(capsys) == [f"ERROR MalformedFile: {library}: {LONG_INTEGER}"]
+        # The prefix reader meets it first on the route path.
+        assert run(["route", "--query", "anything", "--dir", str(tmp_path)]).exit_code == 1
+        assert error_lines(capsys) == [f"ERROR MalformedFile: {library}: {LONG_INTEGER}"]
 
     def test_deeply_nested_input_is_malformed(self, tmp_path, capsys):
         deep = tmp_path / "deep.json"
@@ -551,6 +564,19 @@ class TestRouteSelectBench:
         outcome = run(["route", "--query", "anything", "--dir", str(reg)])
         assert outcome.exit_code == 0
         assert outcome.stdout_payload.startswith("nocomma.json\t")
+
+    def test_route_names_the_file_and_key_path_of_a_malformed_summary(self, fixture_dir,
+                                                                      tmp_path, capsys):
+        reg = tmp_path / "registry"
+        reg.mkdir()
+        data = json.loads((fixture_dir / "library_r1.json").read_text(encoding="utf-8"))
+        del data["_summary"]["category_index"][3]["name"]
+        (reg / "skills.json").write_text(json.dumps(data, ensure_ascii=False), encoding="utf-8")
+        outcome = run(["route", "--query", "anything", "--dir", str(reg)])
+        assert outcome.exit_code == 1
+        assert error_lines(capsys) == [
+            f"ERROR MalformedFile: {reg / 'skills.json'}: _summary.category_index[3].name: "
+            "missing required key"]
 
     def test_route_has_no_block_size_option(self, tmp_path, capsys):
         outcome = run(["route", "--query", "anything", "--dir", str(tmp_path),

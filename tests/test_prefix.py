@@ -16,7 +16,7 @@ from sdsr.prefix import (
     scan_registry,
     summary_token_estimate,
 )
-from sdsr.wire import decode, encode
+from sdsr.wire import LONG_INTEGER, decode, encode
 
 from _fixtures import build_fixture_library
 from _generators import library_with_big_body
@@ -283,6 +283,26 @@ class TestExtractSummary:
         path.write_text(content, encoding="utf-8")
         with pytest.raises(MalformedFile):
             extract_summary(path, strict=strict)
+
+    @pytest.mark.parametrize("block_size", [1, 7, 4096])
+    def test_an_integer_literal_too_long_for_int_is_malformed(self, library_file, block_size):
+        text = library_file.read_text(encoding="utf-8")
+        long = text.replace('"skill_count": 7', '"skill_count": 1' + "0" * 5000, 1)
+        assert long != text
+        library_file.write_text(long, encoding="utf-8")
+        with pytest.raises(MalformedFile) as info:
+            extract_summary(library_file, block_size=block_size)
+        assert str(info.value) == f"{library_file}: {LONG_INTEGER}"
+
+    @pytest.mark.parametrize("block_size", [1, 7, 4096])
+    def test_a_long_float_is_not_taken_for_a_long_integer_at_a_block_edge(self, tmp_path,
+                                                                          block_size):
+        # A block edge can cut the float's digits before its "." or "e".
+        path = tmp_path / "float_first.json"
+        for number in ["1" + "0" * 5000 + ".5", "1" + "0" * 5000 + "e-5000"]:
+            path.write_text('{"Body": ' + number + ', "_summary": {}}', encoding="utf-8")
+            result = extract_summary(path, block_size=block_size, strict=False)
+            assert result.summary == SummaryBlock()
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(IoFailure):

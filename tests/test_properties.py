@@ -571,11 +571,20 @@ def _set(*path_and_value):
      "distractors[0].tier: missing required key"),
     ("round2_specs.json", _set("distractors", 0, "theta", "0.3"),
      "distractors[0].theta: expected a number, got a string"),
+    ("round2_specs.json", _set("distractors", 0, "theta", 10**400),
+     "distractors[0].theta: expected a number, got an integer too large to convert"),
     ("library_r1.json",
      _set("High_Impact_Skills_Library", "Cognitive_Architecture_&_Routing", "skills", 0,
           "skill_name", 7),
      "High_Impact_Skills_Library.Cognitive_Architecture_&_Routing.skills[0].skill_name: "
      "expected a string, got an integer"),
+    ("library_r1.json",
+     _set("High_Impact_Skills_Library", "Cognitive_Architecture_&_Routing", "skills", 2,
+          "skill_name", DELETE),
+     "High_Impact_Skills_Library.Cognitive_Architecture_&_Routing.skills[2].skill_name: "
+     "missing required key"),
+    ("library_r1.json", _set("_summary", "routing_roles", "domain_specific", 1, 7),
+     "_summary.routing_roles.domain_specific[1]: expected a string, got an integer"),
     ("library_r1.json", _set("_provenance", "nope"),
      "_provenance: expected an object, got a string"),
 ], ids=["question-id-null", "question-id-string", "selection-question-id-missing",
@@ -584,7 +593,8 @@ def _set(*path_and_value):
         "prompt-placeholder-missing", "prompt-placeholder-unknown",
         "prompt-brace-unbalanced", "prompt-minimal-template-integer",
         "prompt-priority-rule-null", "prompt-extended-template-list", "spec-tier-missing",
-        "spec-theta-string", "skill-name-integer", "provenance-string"])
+        "spec-theta-string", "spec-theta-huge-integer", "skill-name-integer", "skill-name-missing",
+        "routing-role-name-integer", "provenance-string"])
 def test_a_malformed_input_file_exits_one_naming_the_key_path(name, change, error, workdir):
     original = json.loads((FIXTURES_DIR / name).read_text(encoding="utf-8"))
     code, err = _run_reader(name, json.dumps(change(original)), workdir)

@@ -1,7 +1,7 @@
 import json
 import random
 import re
-from dataclasses import replace
+from dataclasses import InitVar, dataclass, field, replace
 
 import pytest
 from hypothesis import example, given, settings
@@ -25,7 +25,7 @@ from sdsr.library import (
     serialize_library,
 )
 from sdsr.remote import RemoteConfig
-from sdsr.wire import Text, decode, dumps, encode, parse
+from sdsr.wire import LONG_INTEGER, Text, decode, dumps, encode, parse
 
 from _fixtures import FIXTURES_DIR, fixture_judgment, fixture_prompt_config, round3_config
 from _generators import random_library
@@ -52,11 +52,13 @@ def test_decodes_each_supported_shape(tp, value, expected):
     (int, True, "expected an integer, got a boolean"),
     (int, 3.0, "expected an integer, got a number"),
     (str, 7, "expected a string, got an integer"),
+    (float, 10**400, "expected a number, got an integer too large to convert"),
     (tuple[int, int], [1], "expected 2 items, got 1"),
     (dict[str, tuple[str, ...]], {"r": ["a", None]}, "r[1]: expected a string, got null"),
     (tuple[CrossReference, ...], [{"from_section": "s1"}],
      "[0].to_section: missing required key"),
 ], ids=["bool-as-float", "string-as-float", "bool-as-int", "float-as-int", "int-as-str",
+         "huge-int-as-float",
         "short-fixed-tuple", "nested-map-path", "missing-key-path"])
 def test_rejects_what_it_would_have_to_coerce(tp, value, error):
     with pytest.raises(MalformedFile) as info:
@@ -67,6 +69,78 @@ def test_rejects_what_it_would_have_to_coerce(tp, value, error):
 def test_the_root_keys_prefix_the_path():
     with pytest.raises(MalformedFile, match=r"^remote\.timeout: expected a number, got null$"):
         decode(RemoteConfig, {"endpoint": "e", "model": "m", "timeout": None}, "remote")
+
+
+@dataclass(frozen=True)
+class _Leaf:
+    label: str
+
+
+@dataclass(frozen=True)
+class _EveryBranch:
+    """A record with one field for each way the generated decoder reads a field."""
+
+    name: str = field(metadata={"key": "wire_name"})
+    count: int = 0
+    tags: dict[str, str] = field(default_factory=dict)
+    leaf: _Leaf | None = None
+    mark: str | int = ""
+
+    def __post_init__(self) -> None:
+        if self.count < 0:
+            raise ValueError("count must be >= 0")
+
+
+def test_the_generated_decoder_reads_each_kind_of_field():
+    # The field's own name is an unknown key, ignored like any other.
+    first = decode(_EveryBranch, {"wire_name": "a", "name": "b", "extra": [1]})
+    second = decode(_EveryBranch, {"wire_name": "a"})
+    assert first == second == _EveryBranch(name="a")
+    assert first.tags is not second.tags  # default_factory runs once per record
+    assert decode(_EveryBranch, {"wire_name": "a", "count": 2, "tags": {"k": "v"},
+                                 "leaf": {"label": "x"}, "mark": 3}) == _EveryBranch(
+        name="a", count=2, tags={"k": "v"}, leaf=_Leaf(label="x"), mark=3)
+    assert decode(_EveryBranch, {"wire_name": "a", "leaf": None, "mark": "m"}) == _EveryBranch(
+        name="a", mark="m")
+
+
+@pytest.mark.parametrize("entry, error", [
+    ("x", "[1]: expected an object, got a string"),
+    ({"name": "a"}, "[1].wire_name: missing required key"),
+    ({"wire_name": "a", "count": True}, "[1].count: expected an integer, got a boolean"),
+    ({"wire_name": "a", "tags": {"k": 1}}, "[1].tags.k: expected a string, got an integer"),
+    ({"wire_name": "a", "leaf": {}}, "[1].leaf.label: missing required key"),
+    ({"wire_name": "a", "leaf": "x"}, "[1].leaf: expected an object, got a string"),
+    ({"wire_name": "a", "mark": 1.5}, "[1].mark: expected a string or an integer, got a number"),
+    ({"wire_name": "a", "count": -1}, "[1]: count must be >= 0"),
+], ids=["not-an-object", "renamed-key-missing", "default-wrong-type", "factory-value-wrong-type",
+        "nested-key-missing", "optional-record-wrong-type", "scalar-union-wrong-type",
+        "post-init-value-error"])
+def test_the_generated_decoder_names_the_failing_key_path(entry, error):
+    with pytest.raises(MalformedFile) as info:
+        decode(tuple[_EveryBranch, ...], [{"wire_name": "ok"}, entry])
+    assert str(info.value) == error
+
+
+@dataclass(frozen=True, kw_only=True)
+class _KeywordOnly:
+    a: str
+
+
+@dataclass(frozen=True)
+class _WithInitVar:
+    a: str
+    b: InitVar[int] = 0
+
+    def __post_init__(self, b: int) -> None:
+        pass
+
+
+@pytest.mark.parametrize("cls", [_KeywordOnly, _WithInitVar], ids=["kw-only", "init-var"])
+def test_a_record_not_built_by_position_has_no_decoder(cls):
+    # The generated decoder passes fields by position; it must not pass them to the wrong ones.
+    with pytest.raises(TypeError, match="does not take its fields by position"):
+        decode(cls, {"a": "x"})
 
 
 @pytest.mark.parametrize("value, expected", [
@@ -234,6 +308,7 @@ _MALFORMED = {
     "deep": (lambda doc: "[" * 100_000 + "]" * 100_000, r"nested too deeply to decode"),
     "lone-surrogate": (lambda doc: doc.replace("@", "\\ud800"),
                        re.escape("a string holds the lone surrogate '\\ud800'")),
+    "long-integer": (lambda doc: "[1" + "0" * 5000 + "]", re.escape(LONG_INTEGER)),
 }
 
 
