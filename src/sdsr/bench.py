@@ -45,6 +45,10 @@ class Question:
     primary_target: str
     secondary_target: str | None = None
 
+    def __post_init__(self) -> None:
+        if self.id < 0:  # the response grammar has no Q-1 line
+            raise ValueError(f"id must be >= 0, got {self.id}")
+
 
 @dataclass(frozen=True)
 class QuestionScore:
@@ -148,7 +152,13 @@ def parse_response(
                     SEVERITY_WARNING, "MALFORMED_LINE",
                     f"line {line_no}: looks like an answer but does not parse: {line.strip()!r}"))
             continue
-        question_id = int(match.group(1))
+        digits = match.group(1)
+        try:
+            question_id = int(digits)
+        except ValueError:  # past int()'s digit limit, so no question has this id
+            raise UnknownQuestion(
+                f"line {line_no}: a {len(digits)}-digit question id is not in the question set"
+            ) from None
         if question_id not in valid_ids:
             raise UnknownQuestion(
                 f"line {line_no}: Q{question_id} is not in the question set")

@@ -16,7 +16,6 @@ from pathlib import Path
 from . import bench, corpus, distractors, engine, guidance, prefix
 from .errors import IoFailure, MalformedFile, SdsrError, TransportError
 from .library import (
-    DEFAULT_HINT_MAX,
     Finding,
     SEVERITY_ERROR,
     decode_library,
@@ -122,7 +121,7 @@ def _emit(args, payload: object, table: str) -> str:
 
 def _cmd_validate(args) -> CommandOutcome:
     lib = _load_library(args.infile, args.body_key)
-    findings = validate_library(lib, strict=args.strict, hint_max=args.hint_max)
+    findings = validate_library(lib, strict=args.strict)
     table = "\n".join(f"{f.severity} {f.code}: {f.message}" for f in findings) or "no findings"
     out = _emit(args, {"findings": encode(findings)}, table)
     code = EXIT_VALIDATION if has_errors(findings) else EXIT_OK
@@ -131,7 +130,7 @@ def _cmd_validate(args) -> CommandOutcome:
 
 def _cmd_summarize(args) -> CommandOutcome:
     lib = _load_library(args.infile, args.body_key)
-    summarized = guidance.build_summary(lib, hint_max=args.hint_max)
+    summarized = guidance.build_summary(lib)
     _write({Path(args.outfile): serialize_library(summarized)})
     payload = {
         "out": args.outfile,
@@ -153,7 +152,7 @@ def _cmd_strip(args) -> CommandOutcome:
 def _cmd_condition(args) -> CommandOutcome:
     lib = _load_library(args.infile, args.body_key)
     prompts = _load_prompts(args.prompts)
-    cond = guidance.build_condition(lib, args.version, prompts, hint_max=args.hint_max)
+    cond = guidance.build_condition(lib, args.version, prompts)
     lib_path = Path(args.out_dir, f"library_{cond.condition}.json")
     prompt_path = Path(args.out_dir, f"prompt_{cond.condition}.txt")
     _write({lib_path: cond.library_artifact, prompt_path: cond.system_prompt + "\n"})
@@ -181,11 +180,11 @@ def _cmd_expand(args) -> CommandOutcome:
         if args.round is not None and cfg.round_id != args.round:
             raise SdsrError(
                 f"specs file is round {cfg.round_id}, but --round {args.round} was given")
-    result = distractors.expand_round(lib, cfg, hint_max=args.hint_max)
+    result = distractors.expand_round(lib, cfg)
     _write({Path(args.outfile): serialize_library(result.library)})
     # A library that sdsr validate would reject is a data error here too.
-    report = [*result.report, *(f for f in validate_library(result.library, hint_max=args.hint_max)
-                                if f.severity == SEVERITY_ERROR)]
+    report = [*result.report,
+              *(f for f in validate_library(result.library) if f.severity == SEVERITY_ERROR)]
     _print_findings_stderr(report)
     payload = {
         "out": args.outfile,
@@ -250,8 +249,7 @@ def _cmd_bench(args) -> CommandOutcome:
     questions = bench.decode_questions(_load_json(args.questions))
     _print_findings_stderr(bench.lint_questions(questions))
     prompts = _load_prompts(args.prompts)
-    conditions = [
-        guidance.build_condition(lib, name, prompts, hint_max=args.hint_max) for name in names]
+    conditions = [guidance.build_condition(lib, name, prompts) for name in names]
     results = bench.run_benchmark(conditions, questions, backend)
     if args.out_dir is not None:
         files = {Path(args.out_dir, f"transcript_{res.condition}.txt"): res.transcript
@@ -295,7 +293,7 @@ def _cmd_structure(args) -> CommandOutcome:
     if args.digests or args.refs:
         digests = decode(dict[str, str], _load_json(args.digests)) if args.digests else {}
         refs = decode(tuple[corpus.CrossReference, ...], _load_json(args.refs)) if args.refs else ()
-        summary, findings = corpus.build_doc_summary(doc, digests, refs, budget=args.budget)
+        summary, findings = corpus.build_doc_summary(doc, digests, refs)
         _print_findings_stderr(findings)
     sidecar = encode(doc)
     if summary is not None:
@@ -345,13 +343,11 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("validate", help="check a library against every invariant")
     common_lib(p)
     p.add_argument("--strict", action="store_true", help="escalate warnings to errors")
-    p.add_argument("--hint-max", type=int, default=DEFAULT_HINT_MAX)
     p.set_defaults(func=_cmd_validate)
 
     p = sub.add_parser("summarize", help="build or rebuild the summary block")
     common_lib(p)
     p.add_argument("--out", dest="outfile", required=True)
-    p.add_argument("--hint-max", type=int, default=DEFAULT_HINT_MAX)
     p.set_defaults(func=_cmd_summarize)
 
     p = sub.add_parser("strip", help="remove the summary block")
@@ -365,7 +361,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out-dir", required=True)
     p.add_argument("--prompts", default=None,
                    help="prompt config JSON (default: built-in templates, no high_priority rules)")
-    p.add_argument("--hint-max", type=int, default=DEFAULT_HINT_MAX)
     p.set_defaults(func=_cmd_condition)
 
     p = sub.add_parser("expand", help="inject one round of distractors")
@@ -373,7 +368,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--round", type=int, default=None)
     p.add_argument("--specs", required=True, help="round config JSON")
     p.add_argument("--out", dest="outfile", required=True)
-    p.add_argument("--hint-max", type=int, default=DEFAULT_HINT_MAX)
     p.set_defaults(func=_cmd_expand)
 
     p = sub.add_parser("route", help="tier-1 summary-scan routing over a directory")
@@ -405,7 +399,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="prompt config JSON (default: built-in templates, no high_priority rules)")
     p.add_argument("--backend", choices=("lexical", "remote"), default="lexical")
     p.add_argument("--out-dir", default=None, help="persist transcripts and report.csv here")
-    p.add_argument("--hint-max", type=int, default=DEFAULT_HINT_MAX)
     p.set_defaults(func=_cmd_bench)
 
     p = sub.add_parser("score", help="score selections against an answer key")
@@ -421,7 +414,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--doc-id", default="doc")
     p.add_argument("--digests", default=None, help="role-to-digest JSON")
     p.add_argument("--refs", default=None, help="cross-reference JSON")
-    p.add_argument("--budget", type=int, default=corpus.DEFAULT_SUMMARY_BUDGET)
     p.set_defaults(func=_cmd_structure)
 
     p = sub.add_parser("coload", help="resolve which sections a query co-loads")

@@ -21,7 +21,7 @@ from .engine import weighted_overlap
 from .prefix import estimate_tokens
 from .wire import encode
 
-DEFAULT_SUMMARY_BUDGET = 400
+DOC_SUMMARY_BUDGET = 400  # estimated tokens; an overrun is a warning
 
 
 @dataclass(frozen=True)
@@ -120,7 +120,6 @@ def build_doc_summary(
     doc: SectionedDocument,
     digests: Mapping[str, str],
     refs: Sequence[CrossReference] = (),
-    budget: int = DEFAULT_SUMMARY_BUDGET,
 ) -> tuple[DocSummary, list[Finding]]:
     """Assemble the document's summary from caller-supplied digests.
 
@@ -128,8 +127,8 @@ def build_doc_summary(
     the ``claimant`` role and reasoning from ``reasoning``.  Every
     cross-reference endpoint must name an existing section.  The token
     estimate covers the serialized summary (minus the estimate field
-    itself) and overruns of *budget* are reported as a warning, never
-    trimmed.
+    itself) and overruns of ``DOC_SUMMARY_BUDGET`` are reported as a
+    warning, never trimmed.
     """
     known = {sec.section_id for sec in doc.sections}
     for ref in refs:
@@ -150,10 +149,10 @@ def build_doc_summary(
     estimate = estimate_tokens(json.dumps(payload, ensure_ascii=False, separators=(",", ":")))
     summary = replace(summary, token_estimate=estimate)
     findings: list[Finding] = []
-    if estimate > budget:
+    if estimate > DOC_SUMMARY_BUDGET:
         findings.append(Finding(
             SEVERITY_WARNING, "TOKEN_BUDGET_OVERRUN",
-            f"{doc.doc_id}: summary estimates {estimate} tokens (budget {budget})"))
+            f"{doc.doc_id}: summary estimates {estimate} tokens (budget {DOC_SUMMARY_BUDGET})"))
     return summary, findings
 
 

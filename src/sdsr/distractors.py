@@ -17,7 +17,6 @@ from .errors import NameCollision, UnknownTarget
 from .guidance import build_summary
 from .library import (
     Category,
-    DEFAULT_HINT_MAX,
     Finding,
     KnowledgeLibrary,
     SEVERITY_INFO,
@@ -134,7 +133,6 @@ def interleave_positions(n_real: int, n_distractors: int) -> list[int]:
 def inject_interleaved(
     real: KnowledgeLibrary,
     distractors: list[Category] | tuple[Category, ...],
-    hint_max: int = DEFAULT_HINT_MAX,
 ) -> KnowledgeLibrary:
     """Merge *distractors* into *real* with even spacing.
 
@@ -167,14 +165,10 @@ def inject_interleaved(
     merged.extend(distractors[next_distractor:])
 
     out = replace(real, categories=tuple(merged))
-    return out if real.summary is None else build_summary(out, hint_max=hint_max)
+    return out if real.summary is None else build_summary(out)
 
 
-def expand_round(
-    base: KnowledgeLibrary,
-    cfg: RoundConfig,
-    hint_max: int = DEFAULT_HINT_MAX,
-) -> ExpansionResult:
+def expand_round(base: KnowledgeLibrary, cfg: RoundConfig) -> ExpansionResult:
     """Generate and inject one round of distractors.
 
     The report always carries INFO totals for the resulting library.
@@ -183,7 +177,7 @@ def expand_round(
     adjusted to match expectations.
     """
     generated, findings = generate_distractors(cfg.distractors, base)
-    library = inject_interleaved(base, generated, hint_max=hint_max)
+    library = inject_interleaved(base, generated)
     total_categories = len(library.categories)
     total_skills = library.total_skills
     findings.append(Finding(

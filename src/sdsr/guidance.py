@@ -26,7 +26,7 @@ from string import Formatter
 from .errors import EmptyLibrary
 from .library import (
     CategoryIndexEntry,
-    DEFAULT_HINT_MAX,
+    HINT_MAX,
     KnowledgeLibrary,
     SummaryBlock,
     serialize_library,
@@ -125,18 +125,16 @@ class GuidanceCondition:
 prompt_config_from_dict = partial(decode, PromptConfig)
 
 
-def build_summary(lib: KnowledgeLibrary, hint_max: int = DEFAULT_HINT_MAX) -> KnowledgeLibrary:
+def build_summary(lib: KnowledgeLibrary) -> KnowledgeLibrary:
     """Return a copy of *lib* with a freshly computed summary block.
 
     Index entries follow library order; each routing hint is the first
-    *hint_max* Unicode scalar values of the category description with
+    ``HINT_MAX`` Unicode scalar values of the category description with
     trailing whitespace trimmed (plain prefix truncation, no sentence
     search).  Instructions and roles are kept from the library's summary
     when present, else they are the shipped template and an empty role
     map.  Building twice equals building once.
     """
-    if hint_max < 0:
-        raise ValueError("hint_max must be >= 0")
     if not lib.categories:
         raise EmptyLibrary("cannot summarize a library with no categories")
     previous = lib.summary or SummaryBlock(llm_instructions=DEFAULT_LLM_INSTRUCTIONS)
@@ -144,7 +142,7 @@ def build_summary(lib: KnowledgeLibrary, hint_max: int = DEFAULT_HINT_MAX) -> Kn
         CategoryIndexEntry(
             name=cat.name.strip(),
             skill_count=cat.skill_count,
-            routing_hint=cat.description[:hint_max].rstrip(),
+            routing_hint=cat.description[:HINT_MAX].rstrip(),
         )
         for cat in lib.categories
     )
@@ -169,24 +167,21 @@ def build_condition(
     lib: KnowledgeLibrary,
     condition: str,
     prompts: PromptConfig | None = None,
-    hint_max: int = DEFAULT_HINT_MAX,
 ) -> GuidanceCondition:
     """Materialize one condition as a library variant and its system prompt.
 
     A and C serve the stripped library; B and D serve it with the
-    summary rebuilt at *hint_max*.  A and B use the minimal prompt;
-    C and D use the expanded extended prompt, which quotes the priority
-    rule verbatim and names every high-priority target.
+    summary rebuilt.  A and B use the minimal prompt; C and D use the
+    expanded extended prompt, which quotes the priority rule verbatim
+    and names every high-priority target.
     """
     condition = condition.strip().upper()
     if condition not in CONDITIONS:
         raise ValueError(f"unknown condition {condition!r}; expected one of {CONDITIONS}")
-    if hint_max < 0:
-        raise ValueError("hint_max must be >= 0")
     if prompts is None:
         prompts = PromptConfig()
     if condition in ("B", "D"):
-        variant = build_summary(lib, hint_max=hint_max)
+        variant = build_summary(lib)
     else:
         variant = strip_summary(lib)
     if condition in ("C", "D"):

@@ -32,7 +32,7 @@ SEVERITY_INFO = "INFO"
 SUMMARY_KEY = "_summary"
 PROVENANCE_KEY = "_provenance"
 DEFAULT_BODY_KEY = "High_Impact_Skills_Library"
-DEFAULT_HINT_MAX = 100
+HINT_MAX = 100  # Unicode scalar values per routing_hint
 
 # In-file hint indexes stop paying off once the index itself grows into a
 # long block; past this many categories a density warning is emitted.
@@ -270,11 +270,7 @@ def surface_similarity(a: Category, b: Category) -> float:
     return len(tokens_a & tokens_b) / len(tokens_a | tokens_b)
 
 
-def validate_library(
-    lib: KnowledgeLibrary,
-    strict: bool = False,
-    hint_max: int = DEFAULT_HINT_MAX,
-) -> list[Finding]:
+def validate_library(lib: KnowledgeLibrary, strict: bool = False) -> list[Finding]:
     """Check every library invariant and return the findings.
 
     An empty list means the library is fully consistent.  ``strict``
@@ -282,8 +278,6 @@ def validate_library(
     produced.  The function is pure: identical inputs yield identical
     findings in identical order.
     """
-    if hint_max < 0:
-        raise ValueError("hint_max must be >= 0")
     findings: list[Finding] = []
     seen: set[str] = set()
 
@@ -351,7 +345,7 @@ def validate_library(
                 f"{cat.name.strip()}: complement {cat.complement.strip()!r} does not exist"))
 
     if lib.summary is not None:
-        findings.extend(_validate_summary(lib, lib.summary, hint_max))
+        findings.extend(_validate_summary(lib, lib.summary))
 
     if strict:
         findings = [
@@ -361,9 +355,7 @@ def validate_library(
     return findings
 
 
-def _validate_summary(
-    lib: KnowledgeLibrary, summary: SummaryBlock, hint_max: int
-) -> list[Finding]:
+def _validate_summary(lib: KnowledgeLibrary, summary: SummaryBlock) -> list[Finding]:
     findings: list[Finding] = []
     index = summary.category_index
     if len(index) != len(lib.categories):
@@ -381,11 +373,11 @@ def _validate_summary(
                 SEVERITY_ERROR, "COUNT_MISMATCH",
                 f"{cat.name.strip()}: index says {entry.skill_count} skills, "
                 f"category has {cat.skill_count}"))
-        if len(entry.routing_hint) > hint_max:
+        if len(entry.routing_hint) > HINT_MAX:
             findings.append(Finding(
                 SEVERITY_ERROR, "HINT_TOO_LONG",
                 f"{cat.name.strip()}: routing_hint is {len(entry.routing_hint)} "
-                f"scalar values (max {hint_max})"))
+                f"scalar values (max {HINT_MAX})"))
     names = set(lib.category_names)
     for role, targets in summary.routing_roles.items():
         for target in targets:

@@ -52,7 +52,6 @@ def random_library(
     rng: random.Random,
     n_categories: int | None = None,
     with_summary: bool | None = None,
-    hint_max: int = 100,
 ) -> KnowledgeLibrary:
     """A structurally valid random library, optionally summarized."""
     if n_categories is None:
@@ -83,7 +82,7 @@ def random_library(
             roles["anchor"] = (rng.choice(names),)
         # build_summary keeps the instructions and roles of the summary it replaces.
         lib = build_summary(replace(lib, summary=SummaryBlock(
-            llm_instructions=DEFAULT_LLM_INSTRUCTIONS, routing_roles=roles)), hint_max=hint_max)
+            llm_instructions=DEFAULT_LLM_INSTRUCTIONS, routing_roles=roles)))
     return lib
 
 

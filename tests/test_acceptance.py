@@ -294,7 +294,7 @@ def test_criterion_9_property_suites():
         # hint-length bound <= 100 scalar values
         for _ in range(cases):
             lib = random_library(rng, with_summary=False)
-            hinted = build_summary(lib, hint_max=100)
+            hinted = build_summary(lib)
             assert all(len(e.routing_hint) <= 100
                        for e in hinted.summary.category_index)
 

@@ -6,7 +6,7 @@ from pathlib import Path
 import pytest
 
 from sdsr import prefix
-from sdsr.cli import dispatch, main
+from sdsr.cli import CommandOutcome, dispatch, main
 from sdsr.guidance import PromptConfig, expand_extended_prompt
 from sdsr.library import deserialize_library
 from sdsr.wire import LONG_INTEGER
@@ -74,20 +74,25 @@ def error_lines(capsys):
 
 
 @pytest.mark.parametrize("command", [
-    ["validate", "--in", "{fixtures}/library_r1.json"],
-    ["summarize", "--in", "{fixtures}/library_r1.json", "--out", "{tmp}/out.json"],
-    ["condition", "--version", "A", "--in", "{fixtures}/library_r1.json", "--out-dir", "{tmp}/out"],
-    ["condition", "--version", "B", "--in", "{fixtures}/library_r1.json", "--out-dir", "{tmp}/out"],
+    ["validate", "--in", "{fixtures}/library_r1.json", "--hint-max", "100"],
+    ["summarize", "--in", "{fixtures}/library_r1.json", "--out", "{tmp}/out.json",
+     "--hint-max", "100"],
+    ["condition", "--version", "B", "--in", "{fixtures}/library_r1.json", "--out-dir", "{tmp}/out",
+     "--hint-max", "100"],
     ["expand", "--in", "{fixtures}/library_r1.json", "--specs", "{fixtures}/round2_specs.json",
-     "--out", "{tmp}/out.json"],
-    ["bench", "--conditions", "A,C", "--lib", "{fixtures}/library_r1.json",
-     "--questions", "{fixtures}/questions_20.json", "--out-dir", "{tmp}/out"],
-], ids=["validate", "summarize", "condition-A", "condition", "expand", "bench-A,C"])
-def test_negative_hint_max_is_a_usage_error(fixture_dir, tmp_path, capsys, command):
+     "--out", "{tmp}/out.json", "--hint-max", "100"],
+    ["bench", "--conditions", "A,B", "--lib", "{fixtures}/library_r1.json",
+     "--questions", "{fixtures}/questions_20.json", "--out-dir", "{tmp}/out", "--hint-max", "100"],
+    ["structure", "--rules", "{fixtures}/judgment_rules.json", "--in", "{fixtures}/judgment.txt",
+     "--out", "{tmp}/out.json", "--digests", "{fixtures}/judgment_digests.json", "--budget", "400"],
+], ids=["validate", "summarize", "condition", "expand", "bench", "structure"])
+def test_summary_bounds_are_not_options(fixture_dir, tmp_path, capsys, command):
+    # The hint bound and the document-summary budget are constants, so every
+    # writer emits what validate accepts; even their values are no option.
     argv = [arg.format(tmp=tmp_path, fixtures=fixture_dir) for arg in command]
-    outcome = run(argv + ["--hint-max", "-1"])
-    assert outcome.exit_code == 2
-    assert error_lines(capsys) == ["ERROR hint_max must be >= 0"]
+    outcome = run(argv)
+    assert outcome == CommandOutcome(2, "")
+    assert f"unrecognized arguments: {argv[-2]} {argv[-1]}" in capsys.readouterr().err
     assert list(tmp_path.iterdir()) == []
 
 
@@ -302,7 +307,8 @@ class TestScore:
         [{"id": 1, "text": "t", "primary_target": "A"},
          {"id": 1, "text": "t", "primary_target": "A"}],
         [{"id": 1, "text": "t"}],
-    ], ids=["duplicate-id", "missing-primary-target"])
+        [{"id": -1, "text": "t", "primary_target": "A"}],
+    ], ids=["duplicate-id", "missing-primary-target", "negative-id"])
     def test_malformed_key_exits_one(self, tmp_path, capsys, key):
         key_path = tmp_path / "key.json"
         key_path.write_text(json.dumps(key), encoding="utf-8")
@@ -311,6 +317,26 @@ class TestScore:
         outcome = run(["score", "--selections", str(selections), "--key", str(key_path)])
         assert outcome.exit_code == 1
         assert "MalformedFile" in capsys.readouterr().err
+
+    def test_negative_question_id_is_malformed(self, fixture_dir, tmp_path, capsys):
+        # format_selections would write Q-1, a line parse_response does not read back.
+        questions = tmp_path / "questions.json"
+        questions.write_text(json.dumps([{"id": -1, "text": "t", "primary_target": "A"}]),
+                             encoding="utf-8")
+        outcome = run(["bench", "--conditions", "A", "--lib", str(fixture_dir / "library_r1.json"),
+                       "--questions", str(questions)])
+        assert outcome == CommandOutcome(1, "")
+        assert error_lines(capsys) == ["ERROR MalformedFile: [0]: id must be >= 0, got -1"]
+
+    def test_question_id_past_the_int_digit_limit_is_unknown(self, fixture_dir, tmp_path,
+                                                              capsys):
+        selections = tmp_path / "response.txt"
+        selections.write_text("Q" + "1" * 5000 + ": A | b\n", encoding="utf-8")
+        outcome = run(["score", "--selections", str(selections),
+                       "--key", str(fixture_dir / "questions_20.json")])
+        assert outcome == CommandOutcome(1, "")
+        assert error_lines(capsys) == [
+            "ERROR UnknownQuestion: line 1: a 5000-digit question id is not in the question set"]
 
     @pytest.mark.parametrize("form", ["object", "list"])
     @pytest.mark.parametrize(("extra", "error"), [

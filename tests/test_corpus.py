@@ -94,7 +94,8 @@ class TestBuildDocSummary:
 
     def test_budget_overrun_warned_never_clamped(self, judgment):
         _, _, digests, refs, doc = judgment
-        summary, findings = build_doc_summary(doc, digests, refs, budget=5)
+        long_digests = {**digests, "reasoning": "The court weighed the record. " * 60}
+        summary, findings = build_doc_summary(doc, long_digests, refs)  # past 400 tokens
         assert [f.code for f in findings] == ["TOKEN_BUDGET_OVERRUN"]
         assert summary.token_estimate > 5
 

@@ -39,7 +39,7 @@ class TestBuildSummary:
         description = ("A" * 40 + " " * 5 + "B" * 80)  # 125 chars, space at cut point
         lib = KnowledgeLibrary(categories=(
             Category(name="C", description=description, skills=(Skill(name="s"),)),))
-        hinted = build_summary(lib, hint_max=100)
+        hinted = build_summary(lib)
         hint = hinted.summary.category_index[0].routing_hint
         assert hint == description[:100].rstrip()
         assert len(hint) <= 100
@@ -53,7 +53,7 @@ class TestBuildSummary:
         description = "中" * 150
         lib = KnowledgeLibrary(categories=(
             Category(name="C", description=description, skills=(Skill(name="s"),)),))
-        hint = build_summary(lib, hint_max=100).summary.category_index[0].routing_hint
+        hint = build_summary(lib).summary.category_index[0].routing_hint
         assert hint == "中" * 100
 
     def test_fixture_index_counts_sum_to_190(self, bare_library):

@@ -32,6 +32,7 @@ from sdsr.guidance import CONDITIONS, build_condition, build_summary, strip_summ
 from sdsr.library import (
     Category,
     CategoryIndexEntry,
+    HINT_MAX,
     KnowledgeLibrary,
     Skill,
     SummaryBlock,
@@ -140,14 +141,14 @@ def test_interleave_spacing_and_order(n_real, n_distractors):
 
 
 @settings(max_examples=CASES, deadline=None)
-@given(seed=seeds, hint_max=st.integers(1, 160))
-def test_hint_length_bounded(seed, hint_max):
+@given(seed=seeds)
+def test_hint_length_bounded(seed):
     lib = random_library(random.Random(seed), with_summary=False)
-    hinted = build_summary(lib, hint_max=hint_max)
+    hinted = build_summary(lib)
     for entry in hinted.summary.category_index:
-        assert len(entry.routing_hint) <= hint_max
+        assert len(entry.routing_hint) <= HINT_MAX
     # rebuilding replaces, never accumulates
-    assert build_summary(hinted, hint_max=hint_max) == hinted
+    assert build_summary(hinted) == hinted
 
 
 @settings(max_examples=CASES, deadline=None)
@@ -401,7 +402,7 @@ _grammar_library = st.lists(
 def test_validated_library_round_trips_through_the_response_grammar(lib, queries):
     if has_errors(validate_library(lib)):
         return
-    questions = [(qid, text) for qid, text in enumerate(queries, start=1)]
+    questions = list(enumerate(queries))  # from id 0, which format_selections writes as Q00
     selection = select_tier2(questions, [lib], LexicalBackend())
     chosen = {sel.question_id: sel for sel in selection.selections}
     key = [

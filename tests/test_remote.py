@@ -197,6 +197,20 @@ class TestSelect:
         assert result.transcript == (system["content"] + "\n\n" + user["content"]
                                      + "\n\n--- response ---\n" + reply + "\n")
 
+    def test_question_id_past_the_int_digit_limit_fails_only_its_condition(self, questions):
+        lib = build_fixture_library()
+        conditions = [build_condition(lib, version, fixture_prompt_config())
+                      for version in ("A", "D")]
+        transport = RecordingTransport([
+            (200, chat_body("Q" + "1" * 5000 + ": Visual_Architecture | Moodboard_Digest")),
+            (200, chat_body("Q01: Visual_Architecture | Moodboard_Digest"))])
+        failed, scored = run_benchmark(
+            conditions, questions, RemoteBackend(make_config(), transport=transport))
+        assert failed.report is None
+        assert failed.error == ("UnknownQuestion: line 1: a 5000-digit question id "
+                                "is not in the question set")
+        assert scored.report is not None and scored.error is None
+
 
 def test_config_from_dict_round_trip():
     config = decode(RemoteConfig, json.loads(json.dumps({
