@@ -115,8 +115,11 @@ def decode_questions(obj: object) -> list[Question]:
 
 
 def decode_selections(obj: object) -> SelectionSet:
-    """Decode a selection set, or a bare list of its selections; MalformedFile on a repeated id."""
-    selection = decode(SelectionSet, {"selections": obj} if type(obj) is list else obj)
+    """Decode a selection set, the object ``sdsr --format json select`` prints.
+
+    MalformedFile on a repeated id.
+    """
+    selection = decode(SelectionSet, obj)
     _reject_repeated_ids(item.question_id for item in selection.selections)
     return selection
 

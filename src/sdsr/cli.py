@@ -11,7 +11,9 @@ from __future__ import annotations
 import argparse
 import sys
 from dataclasses import dataclass
+from functools import partial
 from pathlib import Path
+from typing import Callable, TypeVar
 
 from . import bench, corpus, distractors, engine, guidance, prefix
 from .errors import IoFailure, MalformedFile, SdsrError, TransportError
@@ -24,6 +26,8 @@ from .library import (
     validate_library,
 )
 from .wire import decode, dumps, encode, parse
+
+_T = TypeVar("_T")
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1
@@ -57,16 +61,26 @@ class _FailedBenchRow:
 
 
 def _read_text(path: str) -> str:
+    """The UTF-8 text of *path*, less a leading BOM, as the prefix reader skips one."""
     try:
-        return Path(path).read_text(encoding="utf-8")
+        return Path(path).read_text(encoding="utf-8-sig")
     except OSError as exc:
         raise IoFailure(f"cannot read {path}: {exc}") from exc
     except UnicodeDecodeError as exc:
         raise MalformedFile(f"{path}: not UTF-8: {exc}") from None
 
 
-def _load_json(path: str) -> object:
-    return parse(_read_text(path), path)
+def _decode_text(path: str, text: str, decoder: Callable[[object], _T]) -> _T:
+    """Parse *text*, read from *path*, and decode it; every MalformedFile starts with *path*."""
+    try:
+        return decoder(parse(text, ""))
+    except MalformedFile as exc:
+        raise type(exc)(f"{path}: {exc}") from None
+
+
+def _load(path: str, decoder: Callable[[object], _T]) -> _T:
+    """Read, parse and decode the JSON input file *path*: the CLI's one loader."""
+    return _decode_text(path, _read_text(path), decoder)
 
 
 def _write(files: dict[Path, str | bytes]) -> None:
@@ -81,28 +95,39 @@ def _write(files: dict[Path, str | bytes]) -> None:
             raise IoFailure(f"cannot write to {path.parent}: {exc}") from exc
 
 
-def _load_library(path: str, body_key: str | None = None):
-    return decode_library(_load_json(path), body_key)
-
-
-def _load_config(path: str | None) -> dict:
-    return decode(dict[str, object], _load_json(path)) if path else {}
-
-
 def _load_prompts(path: str | None) -> guidance.PromptConfig:
-    return decode(guidance.PromptConfig, _load_json(path)) if path else guidance.PromptConfig()
+    return _load(path, partial(decode, guidance.PromptConfig)) if path else guidance.PromptConfig()
 
 
-def _make_backend(name: str, config: dict):
+def _make_backend(name: str, config_path: str | None):
+    """The backend *name*; a remote one is set by the 'remote' section of the config file."""
+
+    def remote_section(obj: object) -> object:
+        remote = decode(dict[str, object], obj).get("remote")
+        if name != "remote" or not remote:
+            return remote
+        from .remote import RemoteConfig  # imports requests, which only this backend needs
+        return decode(RemoteConfig, remote, "remote")
+
+    # The config file is read for either backend, so a malformed one always fails.
+    remote = _load(config_path, remote_section) if config_path else None
     if name == "lexical":
         return engine.LexicalBackend()
-    if name == "remote":
-        from .remote import RemoteBackend, RemoteConfig
-        remote_cfg = config.get("remote")
-        if not remote_cfg:
-            raise SdsrError("remote backend requires a config file with a 'remote' section")
-        return RemoteBackend(decode(RemoteConfig, remote_cfg, "remote"))
-    raise SdsrError(f"unknown backend {name!r}")
+    if not remote:
+        raise SdsrError("remote backend requires a config file with a 'remote' section")
+    from .remote import RemoteBackend
+    return RemoteBackend(remote)
+
+
+def _decode_sidecar(obj: object) -> tuple[corpus.SectionedDocument, corpus.DocSummary]:
+    """A ``sdsr structure`` sidecar: the document, and its summary or an empty one."""
+    doc = decode(corpus.SectionedDocument, obj)
+    summary = (decode(corpus.DocSummary, obj["summary"], "summary") if "summary" in obj
+               else corpus.DocSummary(doc_id=doc.doc_id))
+    if summary.doc_id != doc.doc_id:
+        raise MalformedFile(f"summary.doc_id: {summary.doc_id!r} "
+                            f"does not name the document {doc.doc_id!r}")
+    return doc, summary
 
 
 def _print_findings_stderr(findings: list[Finding]) -> None:
@@ -120,7 +145,7 @@ def _emit(args, payload: object, table: str) -> str:
 
 
 def _cmd_validate(args) -> CommandOutcome:
-    lib = _load_library(args.infile, args.body_key)
+    lib = _load(args.infile, decode_library)
     findings = validate_library(lib, strict=args.strict)
     table = "\n".join(f"{f.severity} {f.code}: {f.message}" for f in findings) or "no findings"
     out = _emit(args, {"findings": encode(findings)}, table)
@@ -129,7 +154,7 @@ def _cmd_validate(args) -> CommandOutcome:
 
 
 def _cmd_summarize(args) -> CommandOutcome:
-    lib = _load_library(args.infile, args.body_key)
+    lib = _load(args.infile, decode_library)
     summarized = guidance.build_summary(lib)
     _write({Path(args.outfile): serialize_library(summarized)})
     payload = {
@@ -143,14 +168,14 @@ def _cmd_summarize(args) -> CommandOutcome:
 
 
 def _cmd_strip(args) -> CommandOutcome:
-    lib = _load_library(args.infile, args.body_key)
+    lib = _load(args.infile, decode_library)
     _write({Path(args.outfile): serialize_library(guidance.strip_summary(lib))})
     payload = {"out": args.outfile}
     return CommandOutcome(EXIT_OK, _emit(args, payload, f"wrote {args.outfile}"))
 
 
 def _cmd_condition(args) -> CommandOutcome:
-    lib = _load_library(args.infile, args.body_key)
+    lib = _load(args.infile, decode_library)
     prompts = _load_prompts(args.prompts)
     cond = guidance.build_condition(lib, args.version, prompts)
     lib_path = Path(args.out_dir, f"library_{cond.condition}.json")
@@ -162,24 +187,8 @@ def _cmd_condition(args) -> CommandOutcome:
 
 
 def _cmd_expand(args) -> CommandOutcome:
-    lib = _load_library(args.infile, args.body_key)
-    spec_data = _load_json(args.specs)
-    if isinstance(spec_data, list):
-        configs = decode(tuple[distractors.RoundConfig, ...], spec_data)
-        rounds = {cfg.round_id: cfg for cfg in reversed(configs)}  # the first of each id wins
-        if not rounds:
-            raise SdsrError("specs file holds no round")
-        if args.round is None:
-            held = ", ".join(map(str, sorted(rounds)))
-            raise ValueError(f"specs file holds rounds {held}; choose one with --round")
-        if args.round not in rounds:
-            raise SdsrError(f"specs file has no round_id {args.round}")
-        cfg = rounds[args.round]
-    else:
-        cfg = decode(distractors.RoundConfig, spec_data)
-        if args.round is not None and cfg.round_id != args.round:
-            raise SdsrError(
-                f"specs file is round {cfg.round_id}, but --round {args.round} was given")
+    lib = _load(args.infile, decode_library)
+    cfg = _load(args.specs, partial(decode, distractors.RoundConfig))
     result = distractors.expand_round(lib, cfg)
     _write({Path(args.outfile): serialize_library(result.library)})
     # A library that sdsr validate would reject is a data error here too.
@@ -199,10 +208,9 @@ def _cmd_expand(args) -> CommandOutcome:
 
 
 def _cmd_route(args) -> CommandOutcome:
-    config = _load_config(args.config)
-    backend = _make_backend(args.backend, config)
+    backend = _make_backend(args.backend, args.config)
     registry = prefix.scan_registry(args.directory, extension=args.extension)
-    summaries, findings = prefix.read_registry_summaries(registry, strict=not args.lenient)
+    summaries, findings = prefix.read_registry_summaries(registry)
     _print_findings_stderr(findings)
     request = engine.RoutingRequest(
         query=args.query,
@@ -219,12 +227,11 @@ def _cmd_route(args) -> CommandOutcome:
 
 
 def _cmd_select(args) -> CommandOutcome:
-    config = _load_config(args.config)
-    backend = _make_backend(args.backend, config)
+    backend = _make_backend(args.backend, args.config)
     paths = args.libs.split(",")
     if "" in paths:
         raise ValueError(f"--libs holds an empty file name: {args.libs!r}")
-    libraries = [_load_library(p, args.body_key) for p in paths]
+    libraries = [_load(p, decode_library) for p in paths]
     selection = engine.select_tier2(args.query, libraries, backend)
     if args.complement_pass and len(libraries) > 1:
         print(f"WARNING --complement-pass resolves complements in {paths[0]} only", file=sys.stderr)
@@ -243,10 +250,9 @@ def _cmd_bench(args) -> CommandOutcome:
         raise ValueError(f"--conditions holds an empty condition name: {args.conditions!r}")
     if repeated := [name for at, name in enumerate(names) if name in names[:at]]:
         raise ValueError(f"--conditions repeats condition {repeated[0]!r}: {args.conditions!r}")
-    config = _load_config(args.config)
-    backend = _make_backend(args.backend, config)
-    lib = _load_library(args.lib, args.body_key)
-    questions = bench.decode_questions(_load_json(args.questions))
+    backend = _make_backend(args.backend, args.config)
+    lib = _load(args.lib, decode_library)
+    questions = _load(args.questions, bench.decode_questions)
     _print_findings_stderr(bench.lint_questions(questions))
     prompts = _load_prompts(args.prompts)
     conditions = [guidance.build_condition(lib, name, prompts) for name in names]
@@ -266,10 +272,10 @@ def _cmd_bench(args) -> CommandOutcome:
 
 
 def _cmd_score(args) -> CommandOutcome:
-    key = bench.decode_questions(_load_json(args.key))
+    key = _load(args.key, bench.decode_questions)
     raw = _read_text(args.selections)
     if raw.lstrip().startswith(("{", "[")):
-        selection = bench.decode_selections(parse(raw, args.selections))
+        selection = _decode_text(args.selections, raw, bench.decode_selections)
     else:
         selection, findings = bench.parse_response(raw, key)
         _print_findings_stderr(findings)
@@ -285,14 +291,15 @@ def _cmd_score(args) -> CommandOutcome:
 
 def _cmd_structure(args) -> CommandOutcome:
     text = _read_text(args.infile)
-    rules = decode(tuple[corpus.SectionRule, ...], _load_json(args.rules))
+    rules = _load(args.rules, partial(decode, tuple[corpus.SectionRule, ...]))
     if not rules:
         raise MalformedFile(f"{args.rules}: ruleset must not be empty")
     doc = corpus.section_document(text, rules, doc_id=args.doc_id)
     summary = None
     if args.digests or args.refs:
-        digests = decode(dict[str, str], _load_json(args.digests)) if args.digests else {}
-        refs = decode(tuple[corpus.CrossReference, ...], _load_json(args.refs)) if args.refs else ()
+        digests = _load(args.digests, partial(decode, dict[str, str])) if args.digests else {}
+        refs = (_load(args.refs, partial(decode, tuple[corpus.CrossReference, ...]))
+                if args.refs else ())
         summary, findings = corpus.build_doc_summary(doc, digests, refs)
         _print_findings_stderr(findings)
     sidecar = encode(doc)
@@ -308,13 +315,7 @@ def _cmd_structure(args) -> CommandOutcome:
 
 
 def _cmd_coload(args) -> CommandOutcome:
-    data = _load_json(args.infile)
-    doc = decode(corpus.SectionedDocument, data)
-    summary = (decode(corpus.DocSummary, data["summary"], "summary") if "summary" in data
-               else corpus.DocSummary(doc_id=doc.doc_id))
-    if summary.doc_id != doc.doc_id:
-        raise MalformedFile(f"{args.infile}: summary.doc_id: {summary.doc_id!r} "
-                            f"does not name the document {doc.doc_id!r}")
+    doc, summary = _load(args.infile, _decode_sidecar)
     section_ids = sorted(corpus.resolve_coload(args.query, summary, doc))
     payload = {"sections": section_ids}
     return CommandOutcome(EXIT_OK, _emit(args, payload, "\n".join(section_ids)))
@@ -338,7 +339,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     def common_lib(p):
         p.add_argument("--in", dest="infile", required=True, help="library file")
-        p.add_argument("--body-key", default=None, help="top-level body key override")
 
     p = sub.add_parser("validate", help="check a library against every invariant")
     common_lib(p)
@@ -365,8 +365,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("expand", help="inject one round of distractors")
     common_lib(p)
-    p.add_argument("--round", type=int, default=None)
-    p.add_argument("--specs", required=True, help="round config JSON")
+    p.add_argument("--specs", required=True, help="round config JSON: one round")
     p.add_argument("--out", dest="outfile", required=True)
     p.set_defaults(func=_cmd_expand)
 
@@ -377,14 +376,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k-max", type=int, default=engine.DEFAULT_K_MAX)
     p.add_argument("--threshold", type=float, default=engine.DEFAULT_THRESHOLD)
     p.add_argument("--backend", choices=("lexical", "remote"), default="lexical")
-    p.add_argument("--lenient", action="store_true",
-                   help="accept summaries that are not the first key")
     p.set_defaults(func=_cmd_route)
 
     p = sub.add_parser("select", help="tier-2 selection over loaded libraries")
     p.add_argument("--query", required=True)
     p.add_argument("--libs", required=True, help="comma-separated library files")
-    p.add_argument("--body-key", default=None)
     p.add_argument("--backend", choices=("lexical", "remote"), default="lexical")
     p.add_argument("--complement-pass", action="store_true",
                    help="derive secondaries from the first library's complement fields")
@@ -393,7 +389,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("bench", help="run guidance conditions over a question set")
     p.add_argument("--conditions", required=True, help="e.g. A,B,C,D")
     p.add_argument("--lib", required=True)
-    p.add_argument("--body-key", default=None)
     p.add_argument("--questions", required=True)
     p.add_argument("--prompts", default=None,
                    help="prompt config JSON (default: built-in templates, no high_priority rules)")
@@ -403,7 +398,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("score", help="score selections against an answer key")
     p.add_argument("--selections", required=True,
-                   help="selection JSON or response-format text file")
+                   help="selection-set JSON, as select --format json prints it, "
+                        "or a response-format text file")
     p.add_argument("--key", required=True, help="question/key JSON file")
     p.set_defaults(func=_cmd_score)
 

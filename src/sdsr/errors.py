@@ -18,7 +18,7 @@ class NoSummary(MalformedFile):
 
 
 class SummaryNotFirst(MalformedFile):
-    """Strict prefix read found a different key in first position."""
+    """A file's first top-level key is not its summary block."""
 
 
 class EmptyLibrary(SdsrError):

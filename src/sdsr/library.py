@@ -227,6 +227,8 @@ class KnowledgeLibrary:
     body_key: str = field(default=DEFAULT_BODY_KEY, compare=False)
 
     def __post_init__(self) -> None:
+        if self.body_key.startswith("_"):  # decode_library takes no such key for the body
+            raise ValueError(f"body_key must not start with '_': {self.body_key!r}")
         object.__setattr__(self, "categories", tuple(self.categories))
         object.__setattr__(self, "provenance", dict(self.provenance))
 
@@ -396,10 +398,10 @@ def _validate_summary(lib: KnowledgeLibrary, summary: SummaryBlock) -> list[Find
 # --- JSON interchange -------------------------------------------------
 #
 # Wire format: a single UTF-8 JSON object.  When a summary exists its
-# key is literally "_summary" and it is emitted first; the body key
-# (the one the library was read under, by default
-# "High_Impact_Skills_Library") maps category names to their entries in
-# order.  Key order is significant and preserved both ways.
+# key is literally "_summary" and it is emitted first; the body key, the
+# first key without a leading underscore (the one the library was read
+# under, by default "High_Impact_Skills_Library"), maps category names to
+# their entries in order.  Key order is significant and preserved both ways.
 
 
 def serialize_library(lib: KnowledgeLibrary) -> str:
@@ -417,19 +419,17 @@ def deserialize_library(text: str | bytes) -> KnowledgeLibrary:
     return decode_library(parse(text, ""))
 
 
-def decode_library(obj: object, body_key: str | None = None) -> KnowledgeLibrary:
+def decode_library(obj: object) -> KnowledgeLibrary:
     """Decode a parsed library file.
 
-    When ``body_key`` is None the first key that does not start with an
-    underscore is taken as the body, which maps each category name to
-    its entry; its key order defines category order.
+    The body is the first key that does not start with an underscore; it
+    maps each category name to its entry, and its key order defines
+    category order.
     """
     obj = decode(dict[str, object], obj)
+    body_key = next((k for k in obj if not k.startswith("_")), None)
     if body_key is None:
-        body_key = next((k for k in obj if not k.startswith("_")), None)
-    if body_key not in obj:
-        raise MalformedFile(f"missing body key {body_key!r}" if body_key is not None
-                            else "no library body key found")
+        raise MalformedFile("no library body key found")
     body = decode(dict[str, object], obj[body_key], body_key)
     return KnowledgeLibrary(
         summary=decode(SummaryBlock, obj[SUMMARY_KEY], SUMMARY_KEY) if SUMMARY_KEY in obj else None,

@@ -76,7 +76,6 @@ class PrefixReadResult:
     summary: SummaryBlock
     bytes_read: int
     summary_end_offset: int
-    warning: str | None = None
 
 
 # What Path.is_file() reads as "not a file" rather than as a failure.
@@ -241,20 +240,13 @@ class _BlockText:
         self.end = pos + 1
 
 
-def extract_summary(
-    path: str | Path,
-    block_size: int = DEFAULT_BLOCK_SIZE,
-    strict: bool = True,
-) -> PrefixReadResult:
+def extract_summary(path: str | Path, block_size: int = DEFAULT_BLOCK_SIZE) -> PrefixReadResult:
     """Read just enough of *path* to return its summary block.
 
-    In strict mode the summary must be the file's first key; finding
-    any other key first raises SummaryNotFirst before its value is read.
-    In lenient mode the reader decodes each earlier top-level value and
-    returns the summary with a warning recording its actual position; a
-    file with no summary key at all raises NoSummary.  The returned
-    block is identical to what a full-file parse would produce
-    regardless of ``block_size``; only ``bytes_read`` varies.
+    The summary must be the file's first key: any other key first raises
+    SummaryNotFirst before its value is read, and an empty object raises
+    NoSummary.  The returned block is identical to what a full-file parse
+    would produce regardless of ``block_size``; only ``bytes_read`` varies.
     """
     if block_size < 1:
         raise ValueError("block_size must be >= 1")
@@ -267,28 +259,22 @@ def extract_summary(
         src = _BlockText(handle, path, block_size)
         try:
             pos = 1 if src.next_char(0) == ("\ufeff", 0) else 0
-            # Walk top-level values only, so deep nesting never recurses here.
-            top = src.next_char(pos, "{")[1]
-            for index, (key, start) in enumerate(src.members(top)):
-                if key == SUMMARY_KEY:
-                    value, end = src.top_value(start), src.end
-                    # Undecodable bytes became lone surrogates, which a strict encode rejects.
-                    try:
-                        span = src.text[start:end].encode("utf-8")
-                    except UnicodeEncodeError:
-                        raise src.error("summary value is not valid UTF-8") from None
-                    head = src.text[:start].encode("utf-8", "surrogateescape")
-                    return PrefixReadResult(
-                        summary=decode(SummaryBlock, value, f"{path}: {SUMMARY_KEY}"),
-                        bytes_read=src.bytes_read,
-                        summary_end_offset=len(head) + len(span),
-                        warning=(f"summary block is key #{index + 1} of the file, "
-                                 "not the first key" if index else None),
-                    )
-                if strict:
+            for key, start in src.members(src.next_char(pos, "{")[1]):
+                if key != SUMMARY_KEY:
                     raise SummaryNotFirst(
                         f"{path}: first top-level key is {key!r}, not {SUMMARY_KEY!r}")
-                src.top_value(start)
+                value, end = src.top_value(start), src.end
+                # Undecodable bytes became lone surrogates, which a strict encode rejects.
+                try:
+                    span = src.text[start:end].encode("utf-8")
+                except UnicodeEncodeError:
+                    raise src.error("summary value is not valid UTF-8") from None
+                return PrefixReadResult(
+                    summary=decode(SummaryBlock, value, f"{path}: {SUMMARY_KEY}"),
+                    bytes_read=src.bytes_read,
+                    # Before the value: a BOM, "{", whitespace and the key, all valid UTF-8.
+                    summary_end_offset=len(src.text[:start].encode("utf-8")) + len(span),
+                )
         except RecursionError:
             raise src.error("nested too deeply to decode") from None
     raise NoSummary(f"{path}: no {SUMMARY_KEY!r} key in top-level object")
@@ -297,19 +283,17 @@ def extract_summary(
 def read_registry_summaries(
     registry: FileRegistry,
     block_size: int = DEFAULT_BLOCK_SIZE,
-    strict: bool = True,
 ) -> tuple[list[tuple[str, PrefixReadResult]], list[Finding]]:
     """Extract every registry entry's summary, in registry order.
 
     Returns the per-file results plus findings: a warning for every
     summary whose token estimate exceeds DEFAULT_TOKEN_BUDGET (the estimate
-    is reported, never clamped) and for every lenient-mode position
-    warning.
+    is reported, never clamped).
     """
     results: list[tuple[str, PrefixReadResult]] = []
     findings: list[Finding] = []
     for entry in registry.entries:
-        result = extract_summary(entry.path, block_size=block_size, strict=strict)
+        result = extract_summary(entry.path, block_size=block_size)
         results.append((entry.file_id, result))
         estimate = summary_token_estimate(result.summary)
         if estimate > DEFAULT_TOKEN_BUDGET:
@@ -317,7 +301,4 @@ def read_registry_summaries(
                 SEVERITY_WARNING, "TOKEN_BUDGET_OVERRUN",
                 f"{entry.file_id}: summary estimates {estimate} tokens "
                 f"(budget {DEFAULT_TOKEN_BUDGET})"))
-        if result.warning:
-            findings.append(Finding(
-                SEVERITY_WARNING, "SUMMARY_POSITION", f"{entry.file_id}: {result.warning}"))
     return results, findings

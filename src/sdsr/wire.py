@@ -41,12 +41,12 @@ LONG_INTEGER = "an integer literal has more digits than sys.get_int_max_str_digi
 
 
 def parse(text: str | bytes, where: str) -> object:
-    """Parse JSON *text*, bytes as strict UTF-8; MalformedFile, prefixed by a non-empty
-    *where*, if it is not UTF-8 or not JSON, nests too deeply, escapes a lone surrogate or
-    spells an integer too long for ``int``."""
+    """Parse JSON *text*, bytes as strict UTF-8 less a leading BOM; MalformedFile, prefixed by
+    a non-empty *where*, if it is not UTF-8 or not JSON, nests too deeply, escapes a lone
+    surrogate or spells an integer too long for ``int``."""
     prefix = f"{where}: " if where else ""
     try:
-        text = text.decode("utf-8") if isinstance(text, bytes) else text
+        text = text.decode("utf-8-sig") if isinstance(text, bytes) else text
         data = json.loads(text)
     except UnicodeDecodeError as exc:
         raise MalformedFile(f"{prefix}not UTF-8: {exc}") from None

@@ -6,6 +6,7 @@ from pathlib import Path
 import pytest
 
 from sdsr import prefix
+from sdsr.bench import decode_selections, format_selections
 from sdsr.cli import CommandOutcome, dispatch, main
 from sdsr.guidance import PromptConfig, expand_extended_prompt
 from sdsr.library import deserialize_library
@@ -94,6 +95,82 @@ def test_summary_bounds_are_not_options(fixture_dir, tmp_path, capsys, command):
     assert outcome == CommandOutcome(2, "")
     assert f"unrecognized arguments: {argv[-2]} {argv[-1]}" in capsys.readouterr().err
     assert list(tmp_path.iterdir()) == []
+
+
+_FIXTURE_LIB = "{fixtures}/library_r1.json"
+_QUESTIONS = "{fixtures}/questions_20.json"
+_BODY_KEY = ["--body-key", "X"]
+_EXPAND = ["expand", "--in", _FIXTURE_LIB, "--specs", "{fixtures}/round2_specs.json",
+           "--out", "{tmp}/out.json"]
+
+
+@pytest.mark.parametrize("command, removed", [
+    (["route", "--query", "x", "--dir", "{fixtures}"], ["--lenient"]),
+    (["validate", "--in", _FIXTURE_LIB], _BODY_KEY),
+    (["summarize", "--in", _FIXTURE_LIB, "--out", "{tmp}/out.json"], _BODY_KEY),
+    (["strip", "--in", _FIXTURE_LIB, "--out", "{tmp}/out.json"], _BODY_KEY),
+    (["condition", "--version", "B", "--in", _FIXTURE_LIB, "--out-dir", "{tmp}/out"], _BODY_KEY),
+    (_EXPAND, _BODY_KEY),
+    (["select", "--query", "x", "--libs", _FIXTURE_LIB], _BODY_KEY),
+    (["bench", "--conditions", "A", "--lib", _FIXTURE_LIB, "--questions", _QUESTIONS,
+      "--out-dir", "{tmp}/out"], _BODY_KEY),
+    (_EXPAND, ["--round", "2"]),
+], ids=["route-lenient", "validate-body-key", "summarize-body-key", "strip-body-key",
+        "condition-body-key", "expand-body-key", "select-body-key", "bench-body-key",
+        "expand-round"])
+def test_input_shape_switches_are_not_options(fixture_dir, tmp_path, capsys, command, removed):
+    # Each input file has one shape, so no option chooses among shapes.
+    outcome = run([arg.format(tmp=tmp_path, fixtures=fixture_dir) for arg in command + removed])
+    assert outcome == CommandOutcome(2, "")
+    assert f"unrecognized arguments: {' '.join(removed)}" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
+_STRUCTURE = ["structure", "--in", "{fixtures}/judgment.txt", "--out", "{tmp}/out.json"]
+# Each JSON input option: a command that reads it from {bad}, what {bad} holds,
+# and the decode error that follows the file name.
+_DECODE_ERRORS = {
+    "in": (["validate", "--in", "{bad}"], {"_summary": {}, "Body": {"A": {"skills": 3}}},
+           "Body.A.skills: expected a list, got an integer"),
+    "lib": (["bench", "--conditions", "A", "--lib", "{bad}", "--questions", _QUESTIONS],
+            {"Body": {}, "_provenance": []}, "_provenance: expected an object, got a list"),
+    "libs": (["select", "--query", "x", "--libs", _FIXTURE_LIB + ",{bad}"], [],
+             "expected an object, got a list"),
+    "questions": (["bench", "--conditions", "A", "--lib", _FIXTURE_LIB, "--questions", "{bad}"],
+                  [{"id": "1", "text": "t", "primary_target": "A"}],
+                  "[0].id: expected an integer, got a string"),
+    "key": (["score", "--selections", "{fixtures}/selections_r1_B.json", "--key", "{bad}"],
+            [{"id": 1, "text": "t"}], "[0].primary_target: missing required key"),
+    "prompts": (["bench", "--conditions", "A", "--lib", _FIXTURE_LIB, "--questions", _QUESTIONS,
+                 "--prompts", "{bad}"], {"minimal_template": 3},
+                "minimal_template: expected a string, got an integer"),
+    "specs": (["expand", "--in", _FIXTURE_LIB, "--specs", "{bad}", "--out", "{tmp}/out.json"],
+              {"round_id": "2"}, "round_id: expected an integer, got a string"),
+    "selections": (["score", "--selections", "{bad}", "--key", _QUESTIONS], {"selections": [{}]},
+                   "selections[0].question_id: missing required key"),
+    "rules": ([*_STRUCTURE, "--rules", "{bad}"], [{"role": "x"}],
+              "[0].header_pattern: missing required key"),
+    "refs": ([*_STRUCTURE, "--rules", "{fixtures}/judgment_rules.json", "--refs", "{bad}"],
+             [{"from_section": "s1"}], "[0].to_section: missing required key"),
+    "digests": ([*_STRUCTURE, "--rules", "{fixtures}/judgment_rules.json", "--digests", "{bad}"],
+                {"claims": 3}, "claims: expected a string, got an integer"),
+    "coload-in": (["coload", "--query", "x", "--in", "{bad}"], {"sections": []},
+                  "doc_id: missing required key"),
+    "config-remote": (["--config", "{bad}", "select", "--backend", "remote", "--query", "x",
+                       "--libs", _FIXTURE_LIB], {"remote": {"model": "m"}},
+                      "remote.endpoint: missing required key"),
+}
+
+
+@pytest.mark.parametrize("option", list(_DECODE_ERRORS))
+def test_a_decode_error_names_its_input_file(fixture_dir, tmp_path, capsys, option):
+    command, content, error = _DECODE_ERRORS[option]
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(content), encoding="utf-8")
+    outcome = run([arg.format(bad=bad, tmp=tmp_path, fixtures=fixture_dir) for arg in command])
+    assert outcome == CommandOutcome(1, "")
+    assert error_lines(capsys) == [f"ERROR MalformedFile: {bad}: {error}"]
+    assert list(tmp_path.iterdir()) == [bad]
 
 
 @pytest.mark.parametrize("libs", ["{lib},", ",{lib}", "{lib},,{lib}", ""])
@@ -326,7 +403,8 @@ class TestScore:
         outcome = run(["bench", "--conditions", "A", "--lib", str(fixture_dir / "library_r1.json"),
                        "--questions", str(questions)])
         assert outcome == CommandOutcome(1, "")
-        assert error_lines(capsys) == ["ERROR MalformedFile: [0]: id must be >= 0, got -1"]
+        assert error_lines(capsys) == [
+            f"ERROR MalformedFile: {questions}: [0]: id must be >= 0, got -1"]
 
     def test_question_id_past_the_int_digit_limit_is_unknown(self, fixture_dir, tmp_path,
                                                               capsys):
@@ -338,25 +416,32 @@ class TestScore:
         assert error_lines(capsys) == [
             "ERROR UnknownQuestion: line 1: a 5000-digit question id is not in the question set"]
 
-    @pytest.mark.parametrize("form", ["object", "list"])
     @pytest.mark.parametrize(("extra", "error"), [
         ({"question_id": 99, "primary": {"category": "X", "skill": "Y"}},
          "UnknownQuestion: question ids [99] are not in the answer key"),
         ({"question_id": 1, "primary": {"category": "X", "skill": "Y"}},
-         "MalformedFile: duplicate question ids: [1]"),
+         "MalformedFile: {path}: duplicate question ids: [1]"),
     ], ids=["unknown-id", "repeated-id"])
-    def test_json_selections_obey_the_key_ids(self, fixture_dir, tmp_path, capsys, form, extra,
-                                              error):
+    def test_json_selections_obey_the_key_ids(self, fixture_dir, tmp_path, capsys, extra, error):
         data = json.loads((fixture_dir / "selections_r1_B.json").read_text(encoding="utf-8"))
         data["selections"].append(extra)
         selections = tmp_path / "selections.json"
-        selections.write_text(json.dumps(data if form == "object" else data["selections"]),
-                              encoding="utf-8")
+        selections.write_text(json.dumps(data), encoding="utf-8")
         outcome = run(["score", "--selections", str(selections),
                        "--key", str(fixture_dir / "questions_20.json")])
         assert outcome.exit_code == 1
         assert outcome.stdout_payload == ""
-        assert error_lines(capsys) == [f"ERROR {error}"]
+        assert error_lines(capsys) == [f"ERROR {error.format(path=selections)}"]
+
+    def test_a_bare_list_of_selections_is_malformed(self, fixture_dir, tmp_path, capsys):
+        data = json.loads((fixture_dir / "selections_r1_B.json").read_text(encoding="utf-8"))
+        selections = tmp_path / "selections.json"
+        selections.write_text(json.dumps(data["selections"]), encoding="utf-8")
+        outcome = run(["score", "--selections", str(selections),
+                       "--key", str(fixture_dir / "questions_20.json")])
+        assert outcome == CommandOutcome(1, "")
+        assert error_lines(capsys) == [
+            f"ERROR MalformedFile: {selections}: expected an object, got a list"]
 
 
 class TestSummarizeStripCondition:
@@ -385,45 +470,39 @@ class TestSummarizeStripCondition:
         assert run([command, "--in", str(fixture_dir / source), "--out", str(out)]).exit_code == 0
         assert out.read_bytes() == (fixture_dir / expected).read_bytes()
 
-    @pytest.mark.parametrize("override", [True, False], ids=["--body-key", "detected"])
-    def test_body_is_written_under_the_key_it_was_read_under(self, fixture_dir, tmp_path,
-                                                            override):
+    def test_body_is_written_under_the_key_it_was_read_under(self, fixture_dir, tmp_path):
         def renamed(name):
             path = tmp_path / f"renamed_{name}"
             path.write_bytes((fixture_dir / name).read_bytes().replace(
                 b'"High_Impact_Skills_Library"', b'"My_Skills"', 1))
             return path
 
-        key = ["--body-key", "My_Skills"] if override else []
         full, bare = renamed("library_r1.json"), renamed("library_r1_bare.json")
         out = tmp_path / "out.json"
         for command, source, expected in [
                 ("summarize", full, full), ("strip", full, bare), ("strip", bare, bare)]:
-            assert run([command, "--in", str(source), "--out", str(out), *key]).exit_code == 0
+            assert run([command, "--in", str(source), "--out", str(out)]).exit_code == 0
             assert out.read_bytes() == expected.read_bytes()
         for command, extra in [("summarize", []),
                                ("expand", ["--specs", str(fixture_dir / "round2_specs.json")])]:
-            assert run([command, "--in", str(bare), "--out", str(out), *key, *extra]
-                       ).exit_code == 0
+            assert run([command, "--in", str(bare), "--out", str(out), *extra]).exit_code == 0
             keys = [k for k in json.loads(out.read_text(encoding="utf-8")) if k[0] != "_"]
             assert keys == ["My_Skills"]
-            assert run(["validate", "--in", str(out), *key]).exit_code == 0
+            assert run(["validate", "--in", str(out)]).exit_code == 0
 
-    def test_bench_reads_back_artifacts_under_an_underscore_body_key(self, fixture_dir,
-                                                                      tmp_path):
+    def test_a_library_whose_every_key_starts_with_an_underscore_is_malformed(
+            self, fixture_dir, tmp_path, capsys):
+        # The body is the first key without a leading underscore: "_skills" is no body.
         library = tmp_path / "library.json"
         library.write_bytes((fixture_dir / "library_r1.json").read_bytes().replace(
             b'"High_Impact_Skills_Library"', b'"_skills"', 1))
-        outcome = run(["--format", "json", "bench", "--conditions", "A,D", "--body-key", "_skills",
-                       "--lib", str(library), "--questions", str(fixture_dir / "questions_20.json"),
+        outcome = run(["bench", "--conditions", "A,D", "--lib", str(library),
+                       "--questions", str(fixture_dir / "questions_20.json"),
                        "--out-dir", str(tmp_path / "out")])
-        assert outcome.exit_code == 0
-        assert [entry["primary_accuracy"] for entry in json.loads(outcome.stdout_payload)] == [
-            entry["primary_accuracy"] for entry in json.loads(run([
-                "--format", "json", "bench", "--conditions", "A,D",
-                "--lib", str(fixture_dir / "library_r1.json"),
-                "--questions", str(fixture_dir / "questions_20.json")]).stdout_payload)]
-        assert '"_skills"' in (tmp_path / "out" / "transcript_D.txt").read_text(encoding="utf-8")
+        assert outcome == CommandOutcome(1, "")
+        assert error_lines(capsys) == [
+            f"ERROR MalformedFile: {library}: no library body key found"]
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("version,expect_summary", [
         ("A", False), ("B", True), ("C", False), ("D", True)])
@@ -465,7 +544,6 @@ class TestExpand:
             "--format", "json", "expand",
             "--in", str(fixture_dir / "library_r1.json"),
             "--specs", str(fixture_dir / "round2_specs.json"),
-            "--round", "2",
             "--out", str(out),
         ])
         assert outcome.exit_code == 0
@@ -486,26 +564,19 @@ class TestExpand:
         err = capsys.readouterr().err
         assert "EXPECTED_TOTAL_MISMATCH" in err
 
-    def test_wrong_round_number_rejected(self, fixture_dir, tmp_path, capsys):
-        outcome = run([
-            "expand", "--in", str(fixture_dir / "library_r1.json"),
-            "--specs", str(fixture_dir / "round2_specs.json"),
-            "--round", "9", "--out", str(tmp_path / "x.json"),
-        ])
-        assert outcome.exit_code == 1
-        capsys.readouterr()
-
-    def test_list_specs_without_round_is_a_usage_error_naming_the_rounds(
-            self, fixture_dir, tmp_path, capsys):
+    @pytest.mark.parametrize("rounds", [(3, 2), (2,), ()], ids=["two", "one", "none"])
+    def test_a_list_of_round_specs_is_malformed(self, fixture_dir, tmp_path, capsys, rounds):
+        # A specs file is one round, as sdsr expand applies one round per run.
         specs = tmp_path / "rounds.json"
         specs.write_text(json.dumps([
             json.loads((fixture_dir / f"round{n}_specs.json").read_text(encoding="utf-8"))
-            for n in (3, 2)]), encoding="utf-8")
+            for n in rounds]), encoding="utf-8")
         capsys.readouterr()
         outcome = run(["expand", "--in", str(fixture_dir / "library_r1.json"),
                        "--specs", str(specs), "--out", str(tmp_path / "x.json")])
-        assert outcome.exit_code == 2
-        assert "rounds 2, 3" in capsys.readouterr().err
+        assert outcome == CommandOutcome(1, "")
+        assert error_lines(capsys) == [
+            f"ERROR MalformedFile: {specs}: expected an object, got a list"]
         assert not (tmp_path / "x.json").exists()
 
     @pytest.mark.parametrize("specs", [
@@ -519,20 +590,9 @@ class TestExpand:
         path = tmp_path / "specs.json"
         path.write_text(json.dumps(specs), encoding="utf-8")
         outcome = run(["expand", "--in", str(fixture_dir / "library_r1.json"),
-                       "--specs", str(path), "--round", "2", "--out", str(tmp_path / "x.json")])
+                       "--specs", str(path), "--out", str(tmp_path / "x.json")])
         assert outcome.exit_code == 1
         assert "ERROR MalformedFile" in capsys.readouterr().err
-
-    @pytest.mark.parametrize("round_args", [[], ["--round", "2"]], ids=["no-round", "round-2"])
-    def test_empty_list_specs_is_a_data_error_with_or_without_round(
-            self, fixture_dir, tmp_path, capsys, round_args):
-        path = tmp_path / "specs.json"
-        path.write_text("[]", encoding="utf-8")
-        capsys.readouterr()
-        outcome = run(["expand", "--in", str(fixture_dir / "library_r1.json"),
-                       "--specs", str(path), *round_args, "--out", str(tmp_path / "x.json")])
-        assert outcome.exit_code == 1
-        assert "specs file holds no round" in capsys.readouterr().err
 
     @pytest.mark.parametrize("edit, code", [
         (lambda spec: spec.update(name="Bad|Name"), "CATEGORY_NAME_DELIMITER"),
@@ -619,7 +679,7 @@ class TestRouteSelectBench:
                 "--dir", str(reg)]
         assert run(argv).stdout_payload == run(argv).stdout_payload
 
-    def test_route_lenient_accepts_late_summary(self, fixture_dir, tmp_path, capsys):
+    def test_route_rejects_a_late_summary_naming_the_file(self, fixture_dir, tmp_path, capsys):
         reg = tmp_path / "registry"
         reg.mkdir()
         data = json.loads((fixture_dir / "library_r1.json").read_text(encoding="utf-8"))
@@ -627,15 +687,13 @@ class TestRouteSelectBench:
                      "_summary": data["_summary"]}
         (reg / "late.json").write_text(json.dumps(reordered, ensure_ascii=False),
                                        encoding="utf-8")
-        strict = run(["route", "--query", "anything", "--dir", str(reg)])
-        assert strict.exit_code == 1
         capsys.readouterr()
-        lenient = run(["--format", "json", "route", "--query",
-                       "tarot readings by spread position",
-                       "--dir", str(reg), "--lenient"])
-        assert lenient.exit_code == 0
-        err = capsys.readouterr().err
-        assert "SUMMARY_POSITION" in err
+        outcome = run(["--format", "json", "route", "--query", "tarot readings by spread position",
+                       "--dir", str(reg)])
+        assert outcome == CommandOutcome(1, "")
+        assert error_lines(capsys) == [
+            f"ERROR SummaryNotFirst: {reg / 'late.json'}: first top-level key is "
+            "'High_Impact_Skills_Library', not '_summary'"]
 
     def test_bench_exit_three_when_a_condition_fails(self, fixture_dir, monkeypatch,
                                                      capsys):
@@ -834,6 +892,92 @@ class TestStructureCoload:
         assert outcome.exit_code == 1
         assert error_lines(capsys) == [f"ERROR MalformedFile: {rules}: ruleset must not be empty"]
         assert not (tmp_path / "out.json").exists()
+
+
+BOM = b"\xef\xbb\xbf"
+
+
+class TestByteOrderMark:
+    """Every reader skips a leading UTF-8 BOM, as the prefix reader does."""
+
+    @staticmethod
+    def score(selections, fixture_dir):
+        return run(["score", "--selections", str(selections),
+                    "--key", str(fixture_dir / "questions_20.json")])
+
+    def test_json_selections_score_as_without_it(self, fixture_dir, tmp_path, capsys):
+        selections = tmp_path / "selections.json"
+        selections.write_bytes(BOM + (fixture_dir / "selections_r1_B.json").read_bytes())
+        outcome = self.score(selections, fixture_dir)
+        assert outcome == CommandOutcome(0, "total 21.5/28.5  primary 20/20  secondary 3/17")
+        assert outcome == self.score(fixture_dir / "selections_r1_B.json", fixture_dir)
+        assert capsys.readouterr().err == ""
+
+    def test_response_text_scores_as_without_it(self, fixture_dir, tmp_path, capsys):
+        text = format_selections(decode_selections(json.loads(
+            (fixture_dir / "selections_r1_B.json").read_text(encoding="utf-8"))))
+        plain, marked = tmp_path / "plain.txt", tmp_path / "marked.txt"
+        plain.write_text(text, encoding="utf-8")
+        marked.write_bytes(BOM + text.encode("utf-8"))
+        outcome = self.score(marked, fixture_dir)
+        assert outcome == CommandOutcome(0, "total 21.5/28.5  primary 20/20  secondary 3/17")
+        assert outcome == self.score(plain, fixture_dir)
+        assert capsys.readouterr().err == ""
+
+    def test_a_library_reads_as_without_it(self, fixture_dir, tmp_path, capsys):
+        plain = fixture_dir / "library_r1.json"
+        registry = tmp_path / "registry"
+        registry.mkdir()
+        marked = registry / "library.json"
+        marked.write_bytes(BOM + plain.read_bytes())
+        query = ["--query", "tarot readings by spread position"]
+        for command in (["validate", "--in"], ["select", *query, "--libs"],
+                        ["bench", "--conditions", "A,D",
+                         "--questions", str(fixture_dir / "questions_20.json"), "--lib"]):
+            argv = ["--format", "json", *command]
+            outcome = run(argv + [str(marked)])
+            assert outcome.exit_code == 0
+            assert outcome == run(argv + [str(plain)])
+        assert run(["validate", "--in", str(marked)]) == CommandOutcome(0, "no findings")
+        routed = run(["--format", "json", "route", *query, "--dir", str(registry)])
+        assert routed.exit_code == 0
+        assert json.loads(routed.stdout_payload)["selected"][0]["file_id"] == "library.json"
+        out = tmp_path / "summarized.json"
+        assert run(["summarize", "--in", str(marked), "--out", str(out)]).exit_code == 0
+        assert out.read_bytes() == plain.read_bytes()  # written without one
+        assert error_lines(capsys) == []
+
+
+def test_the_readers_accept_what_the_writers_write(fixture_dir, tmp_path, capsys):
+    # Every summary-bearing file sdsr writes is one a reader takes as it is.
+    registry = tmp_path / "registry"
+    summarized = registry / "summarized.json"
+    bare = str(fixture_dir / "library_r1_bare.json")
+    assert run(["summarize", "--in", bare, "--out", str(summarized)]).exit_code == 0
+    for version in ("B", "D"):
+        assert run(["condition", "--version", version, "--in", bare,
+                    "--out-dir", str(registry)]).exit_code == 0
+    assert run(["expand", "--in", str(summarized),
+                "--specs", str(fixture_dir / "round2_specs.json"),
+                "--out", str(registry / "expanded.json")]).exit_code == 0
+    libraries = sorted(registry.glob("*.json"))
+    assert [path.name for path in libraries] == [
+        "expanded.json", "library_B.json", "library_D.json", "summarized.json"]
+    query = ["--query", json.loads(
+        (fixture_dir / "questions_20.json").read_text(encoding="utf-8"))[0]["text"]]
+    assert run(["route", *query, "--dir", str(registry)]).exit_code == 0
+    for library in libraries:
+        assert run(["select", *query, "--libs", str(library)]).exit_code == 0
+    selected = run(["--format", "json", "select", *query,
+                    "--libs", ",".join(map(str, libraries))])
+    assert selected.exit_code == 0
+    selections = tmp_path / "selections.json"
+    selections.write_text(selected.stdout_payload + "\n", encoding="utf-8")
+    scored = run(["--format", "json", "score", "--selections", str(selections),
+                  "--key", str(fixture_dir / "questions_20.json")])
+    assert scored.exit_code == 0
+    assert json.loads(scored.stdout_payload)["max_total"] == 28.5
+    assert error_lines(capsys) == []
 
 
 def test_main_prints_payload_and_returns_code(fixture_dir, capsys):

@@ -249,6 +249,30 @@ def test_deserialize_rejects_garbage():
         deserialize_library('{"_summary": {}}')  # no body key
 
 
+def test_the_body_is_the_first_key_without_a_leading_underscore(fixture_library):
+    text = serialize_library(dataclasses.replace(fixture_library, body_key="Skills"))
+    # An underscore key before the body is skipped, and one after it is not the body.
+    text = text.replace('"Skills": {', '"_notes": {"a": 1},\n  "Skills": {', 1)
+    text = text[:text.rindex("}")] + ',\n  "Later": {}\n}\n'
+    read = deserialize_library(text)
+    assert read == fixture_library
+    assert read.body_key == "Skills"
+
+
+@pytest.mark.parametrize("body_key", ["_x", "_"])
+def test_a_body_key_with_a_leading_underscore_is_refused(body_key):
+    # decode_library would take another key, or none, for the body on reading it back.
+    with pytest.raises(ValueError, match="body_key must not start with '_'"):
+        KnowledgeLibrary(body_key=body_key)
+    with pytest.raises(ValueError):
+        dataclasses.replace(KnowledgeLibrary(), body_key=body_key)
+
+
+def test_library_bytes_may_start_with_a_bom(fixture_library):
+    text = serialize_library(fixture_library)
+    assert deserialize_library(b"\xef\xbb\xbf" + text.encode("utf-8")) == fixture_library
+
+
 def test_finding_shape():
     finding = Finding(severity="ERROR", code="X", message="m")
     assert (finding.severity, finding.code, finding.message) == ("ERROR", "X", "m")

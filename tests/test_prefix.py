@@ -145,7 +145,6 @@ class TestExtractSummary:
         value, end = oracle_summary_end(library_file)
         assert result.summary == decode(SummaryBlock, value)
         assert result.summary_end_offset == end
-        assert result.warning is None
 
     @pytest.mark.parametrize("block_size", [1, 3, 7, 64, 512, 4096, 1 << 20])
     def test_block_size_only_changes_bytes_read(self, library_file, block_size):
@@ -211,20 +210,12 @@ class TestExtractSummary:
         with pytest.raises(SummaryNotFirst):
             extract_summary(path)
 
-    def test_lenient_mode_scans_forward_with_warning(self, tmp_path):
-        path = tmp_path / "bodyfirst.json"
-        path.write_text('{"Body": {"A": {"category_description": "d", "skills": []}}, '
-                        '"_summary": {"category_index": [], "_llm_instructions": "found", '
-                        '"routing_roles": {}}}', encoding="utf-8")
-        result = extract_summary(path, strict=False)
-        assert result.summary.llm_instructions == "found"
-        assert result.warning is not None
-
     def test_no_summary_at_all(self, tmp_path):
+        # A library with no summary has its body first, which is not the summary.
         path = tmp_path / "nosummary.json"
         path.write_text('{"Body": {}}', encoding="utf-8")
-        with pytest.raises(NoSummary):
-            extract_summary(path, strict=False)
+        with pytest.raises(SummaryNotFirst):
+            extract_summary(path)
 
     def test_empty_object_lacks_summary(self, tmp_path):
         path = tmp_path / "empty_obj.json"
@@ -259,30 +250,33 @@ class TestExtractSummary:
         with pytest.raises(MalformedFile):
             extract_summary(path, block_size=block_size)
 
-    @pytest.mark.parametrize("block_size", [1, 4096])
-    def test_bytes_not_utf8_before_the_summary_keep_the_byte_offset(self, tmp_path, block_size):
-        # Lenient mode decodes the earlier value.  The offset counts raw bytes:
-        # 32 before the summary (three of them not UTF-8), then 82 of summary
-        # (e-acute 2, the CJK character 3, the emoji 4).
-        head = b'{"Body": "caf\xe9 \xff\xfe", "_summary": '
-        summary = ('{"category_index": [], "_llm_instructions": "caf\u00e9 \u4e2d \U0001f3b5", '
+    @pytest.mark.parametrize("block_size", [1, 7, 4096])
+    def test_multibyte_text_keeps_the_byte_offset(self, tmp_path, block_size):
+        # The offset counts raw bytes: 3 of BOM and 13 of '{"_summary": ',
+        # then 114 of summary, whose unknown member "x" the reader decodes
+        # and drops (e-acute 2, the CJK character 3, the emoji 4, each twice),
+        # and bytes past it that are not UTF-8 are never decoded.
+        head = b'\xef\xbb\xbf{"_summary": '
+        summary = ('{"x": ["caf\u00e9 \u4e2d \U0001f3b5", 1.5e3], "category_index": [], '
+                   '"_llm_instructions": "caf\u00e9 \u4e2d \U0001f3b5", '
                    '"routing_roles": {}}').encode("utf-8")
-        path = tmp_path / "latin1_body_first.json"
-        path.write_bytes(head + summary + b', "Tail": 1}')
-        result = extract_summary(path, block_size=block_size, strict=False)
-        assert result.summary.llm_instructions == "caf\u00e9 \u4e2d \U0001f3b5"
-        assert result.summary_end_offset == len(head) + len(summary) == 32 + 82
-        assert result.warning is not None
+        path = tmp_path / "multibyte.json"
+        path.write_bytes(head + summary + b', "Body": "caf\xe9 \xff\xfe"}')
+        result = extract_summary(path, block_size=block_size)
+        assert result.summary == SummaryBlock(llm_instructions="caf\u00e9 \u4e2d \U0001f3b5")
+        assert result.summary_end_offset == len(head) + len(summary) == 16 + 114
 
-    @pytest.mark.parametrize("strict,content", [
-        (True, '{"_summary": ' + "[" * 5000 + "]" * 5000 + "}"),
-        (False, '{"Body": ' + '{"a": ' * 5000 + "1" + "}" * 5000 + ', "_summary": {}}'),
-    ], ids=["deep-summary", "deep-body-first"])
-    def test_nesting_past_the_recursion_limit_is_malformed(self, tmp_path, strict, content):
+    @pytest.mark.parametrize("block_size", [1, 7, 4096])
+    @pytest.mark.parametrize("content", [
+        '{"_summary": ' + "[" * 5000 + "]" * 5000 + "}",
+        '{"_summary": {"x": ' + '{"a": ' * 5000 + "1" + "}" * 5000 + ', "routing_roles": {}}}',
+    ], ids=["deep-summary", "deep-member"])
+    def test_nesting_past_the_recursion_limit_is_malformed(self, tmp_path, content, block_size):
         path = tmp_path / "deep.json"
         path.write_text(content, encoding="utf-8")
-        with pytest.raises(MalformedFile):
-            extract_summary(path, strict=strict)
+        with pytest.raises(MalformedFile) as info:
+            extract_summary(path, block_size=block_size)
+        assert str(info.value) == f"{path}: nested too deeply to decode"
 
     @pytest.mark.parametrize("block_size", [1, 7, 4096])
     def test_an_integer_literal_too_long_for_int_is_malformed(self, library_file, block_size):
@@ -295,13 +289,23 @@ class TestExtractSummary:
         assert str(info.value) == f"{library_file}: {LONG_INTEGER}"
 
     @pytest.mark.parametrize("block_size", [1, 7, 4096])
+    def test_a_long_unknown_integer_in_the_summary_is_malformed(self, tmp_path, block_size):
+        path = tmp_path / "long_member.json"
+        path.write_text('{"_summary": {"x": 1' + "0" * 5000 + '}, "Body": {}}', encoding="utf-8")
+        with pytest.raises(MalformedFile) as info:
+            extract_summary(path, block_size=block_size)
+        assert str(info.value) == f"{path}: {LONG_INTEGER}"
+
+    @pytest.mark.parametrize("block_size", [1, 7, 4096])
     def test_a_long_float_is_not_taken_for_a_long_integer_at_a_block_edge(self, tmp_path,
                                                                           block_size):
-        # A block edge can cut the float's digits before its "." or "e".
-        path = tmp_path / "float_first.json"
+        # A block edge can cut the float's digits before its "." or "e"; the
+        # summary decodes its unknown member "x" and drops it.
+        path = tmp_path / "long_float.json"
         for number in ["1" + "0" * 5000 + ".5", "1" + "0" * 5000 + "e-5000"]:
-            path.write_text('{"Body": ' + number + ', "_summary": {}}', encoding="utf-8")
-            result = extract_summary(path, block_size=block_size, strict=False)
+            path.write_text('{"_summary": {"x": ' + number + ', "routing_roles": {}}, "Body": {}}',
+                            encoding="utf-8")
+            result = extract_summary(path, block_size=block_size)
             assert result.summary == SummaryBlock()
 
     def test_missing_file(self, tmp_path):
@@ -338,40 +342,48 @@ _EDITS = ("", *',:}]["x1 ')
 
 @st.composite
 def prefix_files(draw):
-    """(file bytes, values before the summary?, intact?) for one case.
+    """(file bytes, body first?, intact?) for one case.
 
-    A case may have one character of its summary deleted or inserted, and
-    may be cut short; an intact case has neither.
+    The summary holds up to three unknown members, which the reader
+    decodes and drops, drawn in among its own; the body may come before
+    it, which the reader refuses.  A case may have one character of its
+    summary deleted or inserted, and may be cut short; an intact case has
+    neither.
     """
-    members = draw(st.lists(st.tuples(_TEXT, _TOP_LEVEL_VALUES), max_size=3))
-    leading = bool(members)
-    members += [("_summary", draw(_SUMMARIES)), ("Body", draw(_TOP_LEVEL_VALUES))]
+    members = list(draw(_SUMMARIES).items())
+    for key, value in draw(st.lists(st.tuples(_TEXT, _TOP_LEVEL_VALUES), max_size=3)):
+        members.insert(draw(st.integers(0, len(members))), (key, value))
+    top = [("_summary", dict(members)), ("Body", draw(_TOP_LEVEL_VALUES))]
+    body_first = draw(st.booleans())
+    if body_first:
+        top.reverse()
     ascii_only = draw(st.booleans())
     indent = draw(st.sampled_from([None, 1]))
-    values = [json.dumps(value, ensure_ascii=ascii_only, indent=indent) for _, value in members]
+    values = [json.dumps(value, ensure_ascii=ascii_only, indent=indent) for _, value in top]
     malformed = draw(st.booleans())
     if malformed:
-        summary = values[-2]
-        at = draw(st.integers(0, len(summary) - 1))
+        at = 1 if body_first else 0  # the summary's index
+        summary = values[at]
+        cut = draw(st.integers(0, len(summary) - 1))
         edit = draw(st.sampled_from(_EDITS))
-        values[-2] = summary[:at] + edit + summary[at + (not edit):]
+        values[at] = summary[:cut] + edit + summary[cut + (not edit):]
     data = ("{" + ", ".join(
         f"{json.dumps(key, ensure_ascii=ascii_only)}: {value}"
-        for (key, _), value in zip(members, values)) + "}").encode("utf-8")
+        for (key, _), value in zip(top, values)) + "}").encode("utf-8")
     if draw(st.booleans()):
         data = b"\xef\xbb\xbf" + data
     cut = draw(st.none() | st.integers(0, len(data)))
-    return data[:cut], leading, cut is None and not malformed
+    return data[:cut], body_first, cut is None and not malformed
 
 
-def _outcome(path, block_size, strict):
+def _outcome(path, block_size):
     try:
-        result = extract_summary(path, block_size=block_size, strict=strict)
+        result = extract_summary(path, block_size=block_size)
     except MalformedFile as exc:
         return type(exc), str(exc)
     assert result.summary_end_offset <= result.bytes_read
     assert result.bytes_read <= result.summary_end_offset + block_size
-    return result.summary, result.summary_end_offset, result.warning
+    return result.summary, result.summary_end_offset
 
 
 @settings(max_examples=300, deadline=None)
@@ -379,19 +391,16 @@ def _outcome(path, block_size, strict):
 @example(case=(b'{"_summary": {"category_index": [], "_llm_instructions": "x",}, "B": {}}',
                False, False))
 def test_outcome_is_independent_of_block_size(tmp_path_factory, case):
-    data, leading, intact = case
+    data, body_first, intact = case
     path = tmp_path_factory.mktemp("prop") / "case.json"
     path.write_bytes(data)
-    for strict in (True, False):
-        outcomes = [_outcome(path, block_size, strict) for block_size in BLOCK_SIZES]
-        assert all(outcome == outcomes[0] for outcome in outcomes), (strict, outcomes)
-    if intact:
+    outcomes = [_outcome(path, block_size) for block_size in BLOCK_SIZES]
+    assert all(outcome == outcomes[0] for outcome in outcomes), outcomes
+    if intact and body_first:
+        assert outcomes[0][0] is SummaryNotFirst
+    elif intact:
         value, end = oracle_summary_end(path)
-        summary, summary_end, warning = _outcome(path, 4096, strict=not leading)
-        assert (summary, summary_end) == (decode(SummaryBlock, value), end)
-        assert (warning is not None) == leading
-        if leading:
-            assert _outcome(path, 4096, strict=True)[0] is SummaryNotFirst
+        assert outcomes[0] == (decode(SummaryBlock, value), end)
 
 
 class TestTokenEstimation:

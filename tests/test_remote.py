@@ -178,7 +178,7 @@ class TestSelect:
         assert messages[0] == {"role": "system", "content": "SYSTEM MARKER"}
         assert "Q01." in messages[1]["content"]
 
-    @pytest.mark.parametrize("body_key", ["High_Impact_Skills_Library", "_skills"])
+    @pytest.mark.parametrize("body_key", ["High_Impact_Skills_Library", "My_Skills"])
     @pytest.mark.parametrize("version", ["A", "D"])
     def test_benchmark_transcript_is_the_conversation_sent(self, questions, version, body_key):
         lib = replace(build_fixture_library(), body_key=body_key)

@@ -227,7 +227,7 @@ def _serialize_from_the_record(lib):
 
 @settings(max_examples=120, deadline=None)
 @given(seed=st.integers(0, 10_000), text=_json_text,
-       body_key=st.sampled_from(["High_Impact_Skills_Library", "Body", "_skills"]),
+       body_key=st.sampled_from(["High_Impact_Skills_Library", "Body", "K_x"]),
        duplicate=st.booleans(), no_skills=st.booleans(), provenance=st.booleans())
 def test_serialize_library_is_the_record_rendered_whole(seed, text, body_key, duplicate,
                                                         no_skills, provenance):
@@ -339,3 +339,12 @@ def test_every_reader_loads_escapes(reader, escaped, expected, as_bytes):
     template, read = _READERS[reader]
     text = template.replace("@", escaped)
     assert read(text.encode("utf-8") if as_bytes else text) == expected
+
+
+@pytest.mark.parametrize("reader", _READERS)
+def test_every_reader_skips_a_bom_in_bytes(reader):
+    # As the prefix reader and the CLI do; a str is text, decoded already.
+    template, read = _READERS[reader]
+    assert read(b"\xef\xbb\xbf" + template.encode("utf-8")) == "@"
+    with pytest.raises(MalformedFile, match="invalid JSON: Unexpected UTF-8 BOM"):
+        read("\ufeff" + template)
