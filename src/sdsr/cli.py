@@ -9,6 +9,7 @@ stdout stays byte-stable for identical inputs on lexical-backend paths.
 from __future__ import annotations
 
 import argparse
+import re
 import sys
 from dataclasses import dataclass
 from functools import partial
@@ -28,6 +29,12 @@ from .library import (
 from .wire import decode, dumps, encode, parse
 
 _T = TypeVar("_T")
+
+# Selections text is JSON when it opens an object, or opens a list whose next
+# non-blank character starts a JSON value, closes the list or is the end of the
+# text.  So a bare or truncated list still fails as JSON, while a reply
+# transcript such as "[model reply]" then "Q01: ..." is read as response text.
+_JSON_SELECTIONS = re.compile(r'\s*(?:\{|\[\s*(?:[][{"0-9-]|(?:true|false|null)\b|\Z))')
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1
@@ -274,7 +281,7 @@ def _cmd_bench(args) -> CommandOutcome:
 def _cmd_score(args) -> CommandOutcome:
     key = _load(args.key, bench.decode_questions)
     raw = _read_text(args.selections)
-    if raw.lstrip().startswith(("{", "[")):
+    if _JSON_SELECTIONS.match(raw):
         selection = _decode_text(args.selections, raw, bench.decode_selections)
     else:
         selection, findings = bench.parse_response(raw, key)

@@ -45,7 +45,15 @@ per category, from which two linear ``min`` passes pick the top two.
 On English text, where stop words make nearly every block hit, the
 gate saves nothing and costs, as the shortest tokens are tried first,
 about one substring scan per block, plus one join and ``lower()`` per
-block the first time.
+block the first time.  Tier 2 keeps its answer too, in
+``Category.best_pairs``: one tuple of the call's question texts and the
+best (-score, category, skill) triple per question, keyed by question
+text.  A call whose texts equal the kept ones, such as the next
+guidance condition over the same categories, reuses the triples and
+scores nothing; a call with other texts scores afresh and replaces the
+tuple whole, so each category keeps at most one question set.  Nothing
+is kept on the backend or at module level, and remote backends keep
+nothing.
 """
 
 from __future__ import annotations
@@ -175,6 +183,41 @@ def _shares_token(probes: Sequence[str], lowered: str) -> bool:
     return any(token in lowered for token in probes)
 
 
+def _best_pairs(
+    cat: Category, queries: Sequence[frozenset[str]], probes: Sequence[str]
+) -> tuple[tuple[float, str, str], ...]:
+    """The best (-score, category, skill) triple of *cat* for each query, in order.
+
+    *probes* are the tokens of all queries, shortest first.
+    """
+    cat_name = cat.name.strip()
+    # A skill that shares no token with a query scores the category score alone for
+    # it, so the least trimmed name stands for all such skills.
+    first_skill = cat.first_skill
+    if not _shares_token(probes, cat.lowered_text):
+        return ((-0.0, cat_name, first_skill),) * len(queries)
+    cat_entry, skills = cat.token_view
+    best_pairs = []
+    for query_tokens in queries:
+        cat_score = _overlap(query_tokens, cat_entry)
+        query_weight = 2 * len(query_tokens)
+        best = (-cat_score, first_skill)
+        disjoint = query_tokens.isdisjoint
+        for name_tokens, text_only, skill_name in skills:
+            if disjoint(name_tokens) and disjoint(text_only):
+                continue
+            # _overlap inlined; a shared token keeps the denominator above zero.
+            shared_name = len(query_tokens & name_tokens)
+            shared_text = len(query_tokens & text_only)
+            pair = (-(cat_score + (2 * shared_name + shared_text) / (
+                2 * (len(name_tokens) - shared_name) + query_weight
+                + len(text_only) - shared_text)), skill_name)
+            if pair < best:
+                best = pair
+        best_pairs.append((best[0], cat_name, best[1]))
+    return tuple(best_pairs)
+
+
 def weighted_overlap(
     query_tokens: frozenset[str],
     name_tokens: frozenset[str],
@@ -212,7 +255,12 @@ class LexicalBackend:
     compiles every other file's entries once per call; select reads
     each category's ``Category.lowered_text`` and every other one's
     ``Category.token_view``, built on first use and shared by every
-    later call on the same object.
+    later call on the same object.  select keeps each category's best
+    pair per question in ``Category.best_pairs``, keyed by the call's
+    question texts: a later call asking the same texts of the same
+    object scores nothing, and one asking others replaces them, so a
+    category holds one question set at most.  The backend itself holds
+    no state.
     """
 
     def route(
@@ -238,45 +286,23 @@ class LexicalBackend:
         libraries: Sequence[KnowledgeLibrary],
         system_prompt: str | None = None,
     ) -> SelectionSet:
-        queries = [tokenize(text) for _, text in questions]
+        texts = tuple(text for _, text in questions)
+        queries = [tokenize(text) for text in texts]
         probes = sorted(frozenset().union(*queries), key=len)
-        # One (-score, category, skill) triple per question and category: the
-        # category's best pair, as only that one can become a primary or secondary.
-        ranked: list[list[tuple[float, str, str]]] = [[] for _ in queries]
+        # Per category, its best (-score, category, skill) triple for each question, as
+        # only that pair can become a primary or secondary.
+        columns = []
         for lib in libraries:
             for cat in lib.categories:
                 if not cat.skills:
                     continue
-                cat_name = cat.name.strip()
-                # A skill that shares no token with a question scores the category score
-                # alone for it, so the least trimmed name stands for all such skills.
-                first_skill = cat.first_skill
-                if not _shares_token(probes, cat.lowered_text):
-                    for pairs in ranked:
-                        pairs.append((-0.0, cat_name, first_skill))
-                    continue
-                cat_entry, skills = cat.token_view
-                for query_tokens, pairs in zip(queries, ranked):
-                    cat_score = _overlap(query_tokens, cat_entry)
-                    query_weight = 2 * len(query_tokens)
-                    best = (-cat_score, first_skill)
-                    disjoint = query_tokens.isdisjoint
-                    for name_tokens, text_only, skill_name in skills:
-                        if disjoint(name_tokens) and disjoint(text_only):
-                            continue
-                        # _overlap inlined; a shared token keeps the denominator above zero.
-                        shared_name = len(query_tokens & name_tokens)
-                        shared_text = len(query_tokens & text_only)
-                        pair = (-(cat_score + (2 * shared_name + shared_text) / (
-                            2 * (len(name_tokens) - shared_name) + query_weight
-                            + len(text_only) - shared_text)), skill_name)
-                        if pair < best:
-                            best = pair
-                    pairs.append((best[0], cat_name, best[1]))
+                memo = cat.best_pairs  # read once: another thread may replace it
+                if memo is None or memo[0] != texts:
+                    memo = texts, _best_pairs(cat, queries, probes)
+                    object.__setattr__(cat, "best_pairs", memo)
+                columns.append(memo[1])
         selections = []
-        for (question_id, _), pairs in zip(questions, ranked):
-            if not pairs:
-                continue
+        for (question_id, _), pairs in zip(questions, zip(*columns)):
             # min() is the first pair in sorted order; the secondary is the first from
             # another category, kept only when its score is above zero.
             _, category, skill = min(pairs)

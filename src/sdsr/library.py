@@ -96,6 +96,12 @@ class Category:
     distractor_tier: str | None = None
     skills: tuple[Skill, ...] = ()  # last, as on the wire
 
+    # Tier 2's last answer for this object, keyed by question text: (question texts,
+    # best (-score, category, skill) triple per question).  engine.LexicalBackend.select
+    # reads it once and replaces it whole, so the object keeps one question set at most.
+    # Unannotated, so not a field: ==, hash and the wire format ignore it.
+    best_pairs = None
+
     def __post_init__(self) -> None:
         object.__setattr__(self, "skills", tuple(self.skills))
 

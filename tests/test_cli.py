@@ -443,6 +443,33 @@ class TestScore:
         assert error_lines(capsys) == [
             f"ERROR MalformedFile: {selections}: expected an object, got a list"]
 
+    def test_a_reply_transcript_opening_with_a_bracket_scores(self, fixture_dir, tmp_path,
+                                                              capsys):
+        selections = tmp_path / "reply.txt"
+        selections.write_text(
+            "[model reply]\nQ01: Cognitive_Architecture_&_Routing | Intent_Router\n",
+            encoding="utf-8")
+        outcome = run(["score", "--selections", str(selections),
+                       "--key", str(fixture_dir / "questions_20.json")])
+        assert outcome == CommandOutcome(0, "total 1.0/28.5  primary 1/20  secondary 0/17")
+        assert capsys.readouterr().err == ""
+
+    @pytest.mark.parametrize(("text", "error"), [
+        ("[]", "expected an object, got a list"),
+        (" [ \n] ", "expected an object, got a list"),
+        ('[{"question_id": 1', "invalid JSON: Expecting ',' delimiter: line 1 column 19 (char 18)"),
+        ("[", "invalid JSON: Expecting value: line 1 column 2 (char 1)"),
+        ("[null, 1", "invalid JSON: Expecting ',' delimiter: line 1 column 9 (char 8)"),
+    ], ids=["empty", "empty-blank", "truncated", "bracket-only", "truncated-literal"])
+    def test_an_empty_or_truncated_list_is_still_malformed(self, fixture_dir, tmp_path, capsys,
+                                                            text, error):
+        selections = tmp_path / "selections.json"
+        selections.write_text(text, encoding="utf-8")
+        outcome = run(["score", "--selections", str(selections),
+                       "--key", str(fixture_dir / "questions_20.json")])
+        assert outcome == CommandOutcome(1, "")
+        assert error_lines(capsys) == [f"ERROR MalformedFile: {selections}: {error}"]
+
 
 class TestSummarizeStripCondition:
     def test_summarize_then_validate(self, fixture_dir, tmp_path):

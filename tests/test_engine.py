@@ -1,4 +1,6 @@
 import re
+import sys
+import threading
 
 import pytest
 
@@ -375,3 +377,81 @@ class TestOnlyOverlappingTextIsTokenized:
         # A new backend: the tokens are kept on the categories, not on the backend.
         assert LexicalBackend().select(questions, [lib]) == first
         assert tokenized == ["trim wick", "lantern oil", "wick night"]
+
+
+class TestEachQuestionSetIsScoredOnce:
+    """A category keeps tier 2's answer for the last question set it saw, and only that one."""
+
+    @pytest.fixture
+    def scored(self, monkeypatch):
+        seen = []
+        overlap = engine._overlap
+        view = Category.__dict__["token_view"].func
+
+        def counting_overlap(query_tokens, entry):
+            seen.append(("overlap", entry[2]))
+            return overlap(query_tokens, entry)
+
+        def counting_view(cat):
+            seen.append(("token_view", cat.name))
+            return view(cat)
+
+        monkeypatch.setattr(engine, "_overlap", counting_overlap)
+        # A property is a data descriptor, so every access is counted, cached or not.
+        monkeypatch.setattr(Category, "token_view", property(counting_view))
+        return seen
+
+    def test_the_same_question_texts_score_nothing_again(self, scored):
+        lib = TestOnlyOverlappingTextIsTokenized.three_areas()
+        first = LexicalBackend().select([(1, "trim wick"), (2, "lantern oil")], [lib])
+        assert scored == [("token_view", "Lantern_Area"), ("overlap", "Lantern_Area"),
+                          ("overlap", "Lantern_Area")]
+        scored.clear()
+        # A new backend, and new ids: the answer is kept on the category, keyed by text.
+        again = LexicalBackend().select([(7, "trim wick"), (8, "lantern oil")], [lib])
+        assert scored == []
+        assert [(s.primary, s.secondary) for s in again.selections] == [
+            (s.primary, s.secondary) for s in first.selections]
+
+    def test_another_question_set_replaces_the_kept_one(self, scored):
+        lib = TestOnlyOverlappingTextIsTokenized.three_areas()
+        backend = LexicalBackend()
+        first = [(1, "trim wick"), (2, "lantern oil")]
+        other = [(1, "lantern oil"), (2, "cut gems")]
+        answers = {}
+        # Each scored category reads its token view once and scores both questions.
+        for questions, categories_scored in ((first, 1), (other, 2), (other, 0), (first, 1)):
+            scored.clear()
+            result = backend.select(questions, [lib])
+            assert len(scored) == 3 * categories_scored
+            assert answers.setdefault(tuple(questions), result) == result
+        assert [cat.best_pairs[0] for cat in lib.categories] == [
+            ("trim wick", "lantern oil")] * 3
+
+    def test_threads_sharing_categories_get_their_own_question_sets_answers(self):
+        questions = ([(1, "trim wick"), (2, "lantern oil")], [(1, "cut gems"), (2, "dock ships")])
+        three_areas = TestOnlyOverlappingTextIsTokenized.three_areas
+        lib = three_areas()
+        # Each set's answer from categories no other call has touched.
+        expected = [LexicalBackend().select(asked, [three_areas()]) for asked in questions]
+        wrong = []
+
+        def worker(offset):
+            backend = LexicalBackend()
+            for i in range(200):
+                which = (i + offset) % 2
+                if backend.select(questions[which], [lib]) != expected[which]:
+                    wrong.append(which)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=worker, args=(n,)) for n in range(4)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert wrong == []

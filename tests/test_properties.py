@@ -262,13 +262,17 @@ _tie_library = st.lists(_tie_category, max_size=5).map(
 
 
 def _assert_select_matches_oracle(libraries, queries, descriptions):
-    """Cold and warm token views, then categories rebuilt with new descriptions.
+    """Changing question sets over one set of categories, then over rebuilt ones.
 
-    One backend makes every call, and the rebuilt categories keep their
-    names, so tokens cached by name or on the backend would score the old
-    descriptions.
+    One backend makes every call.  Each set of category objects sees the
+    question set twice, then another set (a reordered subset, with one text
+    under two ids), then the first set again, so an answer kept for another
+    question set would show.  The rebuilt categories keep their names but
+    get new descriptions, so tokens or answers cached by name or on the
+    backend would score the old descriptions.
     """
-    questions = [(qid, text) for qid, text in enumerate(queries, start=1)]
+    questions = list(enumerate(queries, start=1))
+    other = [*reversed(questions[1:]), (0, queries[-1])]
     rebuilt = [
         replace(lib, categories=tuple(
             replace(cat, description=descriptions[pos % len(descriptions)])
@@ -276,11 +280,12 @@ def _assert_select_matches_oracle(libraries, queries, descriptions):
         for lib in libraries
     ]
     backend = LexicalBackend()
-    for libs in (libraries, libraries, rebuilt, rebuilt):
-        expected = tuple(
-            sel for sel in (_oracle_select(qid, text, libs) for qid, text in questions)
-            if sel is not None)
-        assert backend.select(questions, libs).selections == expected
+    for libs in (libraries, rebuilt):
+        for asked in (questions, questions, other, questions):
+            expected = tuple(
+                sel for sel in (_oracle_select(qid, text, libs) for qid, text in asked)
+                if sel is not None)
+            assert backend.select(asked, libs).selections == expected
 
 
 @settings(max_examples=CASES * 2, deadline=None)
